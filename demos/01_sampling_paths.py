@@ -31,7 +31,10 @@ print(f"mean N_T: {batch.counts.mean():.4f}  (exact {T})")
 
 print()
 print("== random shifts insert one jump ==")
-shift = pf.sample_shifted(measure, T, stream.rng())
-print(f"tau={shift.tau:.3f}  xi={shift.xi[0]:+g}")
-print(f"base   N_T={shift.base.count_jumps()}  endpoint={shift.base.value_at(T)[0]:+g}")
-print(f"shifted N_T={shift.shifted.count_jumps()}  endpoint={shift.shifted.value_at(T)[0]:+g}")
+shift = pf.sample_shifted_batch(measure, T, stream.rng(), 1)
+tau, xi = float(shift.tau[0]), shift.xi[0]
+base = shift.base.path(0)
+shifted = base.shift(tau, xi)
+print(f"tau={tau:.3f}  xi={xi[0]:+g}")
+print(f"base   N_T={base.count_jumps()}  endpoint={base.value_at(T)[0]:+g}")
+print(f"shifted N_T={shifted.count_jumps()}  endpoint={shifted.value_at(T)[0]:+g}")

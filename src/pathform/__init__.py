@@ -23,12 +23,10 @@ from .path import JumpPath, sup_distance
 from .sampler import (
     PathBatch,
     ShiftedBatch,
-    ShiftedSample,
     StreamConfig,
     project_path,
     sample_path,
     sample_path_batch,
-    sample_shifted,
     sample_shifted_batch,
 )
 from .functional import (
@@ -41,7 +39,6 @@ from .functional import (
     QIComparison,
     capped_count,
     coordinate,
-    energy_exact_cylindrical,
     energy_mc,
     evaluate,
     evaluate_batch,

@@ -1,10 +1,12 @@
 """Functionals on path space, the squared-difference field, and the Monte
 Carlo estimators built on random shifts.
 
-The estimators all follow the same deterministic-reduction scheme: the
-sample range is cut into fixed-size chunks, chunk i draws from its own
-substream, and per-chunk partial sums are combined in chunk order.  Worker
-count (PATHFORM_THREADS) therefore never changes a result, only wall time.
+The estimators all go through one deterministic reducer, `_run_chunked`:
+the sample range is cut into fixed-size chunks, chunk i draws from its own
+substream, and per-chunk (count, mean, squared deviation) partials are
+merged in chunk order (Chan, Golub & LeVeque), which stays accurate whatever
+offset the values carry.  Worker count (PATHFORM_THREADS) therefore never
+changes a result, only wall time.
 
 A cylindrical functional F(path) = f(path(t_1), ..., path(t_n)) sees a shift
 by x at time t only through the coordinates with t_j >= t, which is what lets
@@ -19,6 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -150,7 +153,8 @@ class PairingResult:
 # -- evaluation helpers -------------------------------------------------------
 
 def _apply_rows(F: CylindricalFunctional, coords: np.ndarray) -> np.ndarray:
-    """Evaluate f on (N, n, d) coordinate rows, enforcing the sup bound."""
+    """Evaluate f on (N, n, d) coordinate rows, enforcing the sup bound;
+    NaN is never within a bound."""
     N, n, d = coords.shape
     if F.batch is not None:
         arg = coords[:, :, 0] if d == 1 else coords
@@ -160,7 +164,7 @@ def _apply_rows(F: CylindricalFunctional, coords: np.ndarray) -> np.ndarray:
         vals = np.fromiter((F.f(*row) for row in flat), dtype=float, count=N)
     else:
         vals = np.fromiter((F.f(*row) for row in coords), dtype=float, count=N)
-    if N and float(np.max(np.abs(vals))) > F.bound:
+    if not np.all(np.abs(vals) <= F.bound):
         raise BoundViolation(
             f"functional {F.name or F.f!r} exceeded declared bound {F.bound}")
     return vals
@@ -239,32 +243,43 @@ def _map_chunks(fn, n_chunks: int) -> list:
         return list(pool.map(fn, range(n_chunks)))
 
 
+def _moments(a: np.ndarray) -> Tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one chunk's values.
+
+    Deviations are taken from the first value before averaging, so a
+    constant chunk has exactly its value as mean and zero spread."""
+    dev = a - a[0]
+    m = dev.mean()
+    r = dev - m
+    return len(a), float(a[0] + m), float(np.dot(r, r))
+
+
+def _merge(p: Tuple[int, float, float], q: Tuple[int, float, float]):
+    """Pairwise update of (count, mean, M2) partials (Chan et al. 1979)."""
+    n = p[0] + q[0]
+    delta = q[1] - p[1]
+    return (n, p[1] + delta * (q[0] / n),
+            p[2] + q[2] + delta * delta * (p[0] * q[0] / n))
+
+
 def _run_chunked(n_samples: int, cfg: StreamConfig, chunk_fn,
                  chunk_size: int = DEFAULT_CHUNK) -> List[MCEstimate]:
-    """Reduce chunk_fn(rng, size) -> [value arrays] into MCEstimates.
+    """Reduce chunk_fn(rng, size) -> value arrays (a list, or a generator
+    that builds them one at a time) into MCEstimates.
 
-    Partial (sum, sum of squares, count) triples are combined in chunk
-    order, so the outcome is bit-identical for any worker count.
+    Each array's chunk partial is merged in chunk order, so the outcome is
+    bit-identical for any worker count.
     """
     sizes = _chunk_sizes(n_samples, chunk_size)
 
     def work(i: int):
-        arrays = chunk_fn(cfg.chunk_rng(i), sizes[i])
-        return [(float(a.sum()), float(np.dot(a, a)), len(a)) for a in arrays]
+        return [_moments(a) for a in chunk_fn(cfg.chunk_rng(i), sizes[i])]
 
     partials = _map_chunks(work, len(sizes))
-    n_stats = len(partials[0])
     out = []
-    for j in range(n_stats):
-        total = sumsq = 0.0
-        count = 0
-        for p in partials:
-            total += p[j][0]
-            sumsq += p[j][1]
-            count += p[j][2]
-        mean = total / count
-        var = max(sumsq - count * mean * mean, 0.0) / (count - 1)
-        out.append(MCEstimate(mean=mean, stderr=math.sqrt(var / count), n=count))
+    for j in range(len(partials[0])):
+        n, mean, m2 = reduce(_merge, (p[j] for p in partials))
+        out.append(MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1) / n), n=n))
     return out
 
 
@@ -319,17 +334,6 @@ def qi_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
 
     lhs, rhs, diff = _run_chunked(n_samples, cfg, chunk, chunk_size)
     return QIComparison(lhs=lhs, rhs=rhs, diff=diff)
-
-
-# -- exact-lattice bridge -------------------------------------------------------
-
-def energy_exact_cylindrical(F: CylindricalFunctional, model, horizon: float) -> float:
-    """Deterministic quadratic form for lattice measures: the shift time
-    integral collapses to the coordinate grid, each cell weighted by its
-    length, and expectations run over the truncated increment chain."""
-    from .oracle import exact_energy  # deferred: oracle imports this module
-
-    return exact_energy(model, horizon, F)
 
 
 # -- conditional shift-time distribution ---------------------------------------

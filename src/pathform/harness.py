@@ -24,12 +24,9 @@ from scipy.stats import chi2
 from . import __version__
 from .errors import ConfigError, PathformError, UnsupportedMeasure
 from .functional import (
-    DEFAULT_CHUNK,
     CountFunctional,
     CylindricalFunctional,
-    MCEstimate,
-    _chunk_sizes,
-    _map_chunks,
+    _run_chunked,
     capped_count,
     coordinate,
     evaluate_batch,
@@ -50,7 +47,7 @@ from .oracle import (
     semigroup_gap,
     small_time_table,
 )
-from .sampler import StreamConfig, project_path, sample_path, sample_path_batch
+from .sampler import StreamConfig, sample_path_batch
 
 SUITE_NAMES = ("qi", "poincare", "generator", "semigroup", "smalltime",
                "lsi", "coupling", "sample")
@@ -318,7 +315,7 @@ def _exact_row(name: str, anchor: str, lhs: float, rhs: float,
                     passed=bool(diff <= threshold))
 
 
-def _band_row(name: str, anchor: str, est: MCEstimate, sigma: float,
+def _band_row(name: str, anchor: str, est, sigma: float,
               lhs: float = None, rhs: float = None) -> CheckRow:
     """A mean-zero statistic checked inside its sigma band."""
     thr = sigma * est.stderr
@@ -602,56 +599,34 @@ def _suite_coupling(cfg: RunConfig) -> Report:
     measure = cfg.measure()
     params = cfg.suite_params("coupling")
     levels = [int(n) for n in params["levels"]]
-    n_samples = int(params["samples"])
     sigma = cfg.tol("sigma")
     corpus = lipschitz_corpus(cfg.T)
-    sizes = _chunk_sizes(n_samples, DEFAULT_CHUNK)
-    stream = cfg.stream(0)
     sqrt_d = math.sqrt(measure.dimension)
 
-    def work(i: int):
-        rng = stream.chunk_rng(i)
-        batch = sample_path_batch(measure, cfg.T, rng, sizes[i])
+    def chunk(rng, size):
+        # a generator, so that each array is reduced before the next is built
+        batch = sample_path_batch(measure, cfg.T, rng, size)
+        yield batch.counts.astype(float)
         base_vals = [evaluate_batch(F, batch) for F, _ in corpus]
-        excess = []
-        level_stats = []
+        # per path, how far the largest level gap exceeds its bound (0 within)
+        excess = np.zeros(size)
         for n in levels:
-            gap = batch.projection_gap(n)
             bound = batch.counts * (2.0 ** -n) * sqrt_d
-            excess.append(float((gap - bound).max()))
+            excess = np.maximum(excess, batch.projection_gap(n) - bound)
             proj = batch.project(n)
-            per_f = []
             for (F, _), bv in zip(corpus, base_vals):
-                d = evaluate_batch(F, proj) - bv
-                per_f.append((float(d.sum()), float(np.dot(d, d)), len(d)))
-            level_stats.append(per_f)
-        return excess, level_stats, (float(batch.counts.sum()), batch.size)
+                yield evaluate_batch(F, proj) - bv
+        yield excess
 
-    results = _map_chunks(work, len(sizes))
-    worst_excess = max(max(exc) for exc, _, _ in results)
-    count_sum = sum(c for _, _, (c, _) in results)
-    total = sum(b for _, _, (_, b) in results)
-    mean_jumps = count_sum / total
-    estimates: List[List[MCEstimate]] = []
-    for li in range(len(levels)):
-        per_f = []
-        for fi in range(len(corpus)):
-            s = ssq = 0.0
-            cnt = 0
-            for _, level_stats, _ in results:
-                a, b, c = level_stats[li][fi]
-                s += a
-                ssq += b
-                cnt += c
-            mean = s / cnt
-            var = max(ssq - cnt * mean * mean, 0.0) / (cnt - 1)
-            per_f.append(MCEstimate(mean=mean, stderr=math.sqrt(var / cnt), n=cnt))
-        estimates.append(per_f)
+    jumps, *diffs, excess = _run_chunked(int(params["samples"]), cfg.stream(0), chunk)
+    estimates = [diffs[li * len(corpus):(li + 1) * len(corpus)]
+                 for li in range(len(levels))]
 
+    # a mean of nonnegative excesses is 0.0 exactly when every path is within
     rows = [CheckRow(name="projection_gap_bound", kind="deterministic",
-                     anchor=ANCHORS["coupling"], lhs=worst_excess, rhs=0.0,
-                     diff=worst_excess, threshold=0.0,
-                     passed=worst_excess <= 0.0)]
+                     anchor=ANCHORS["coupling"], lhs=excess.mean, rhs=0.0,
+                     diff=excess.mean, threshold=0.0,
+                     passed=excess.mean <= 0.0)]
     for fi, (F, lip) in enumerate(corpus):
         devs = [abs(estimates[li][fi].mean) for li in range(len(levels))]
         slack = [sigma * (estimates[li][fi].stderr + estimates[li + 1][fi].stderr)
@@ -663,7 +638,7 @@ def _suite_coupling(cfg: RunConfig) -> Report:
                              lhs=violation, rhs=0.0, diff=violation,
                              threshold=0.0, passed=violation <= 0.0))
         last = estimates[-1][fi]
-        bound = lip * mean_jumps * (2.0 ** -levels[-1]) * sqrt_d
+        bound = lip * jumps.mean * (2.0 ** -levels[-1]) * sqrt_d
         rows.append(CheckRow(name=f"limit_bias[{F.name},n={levels[-1]}]",
                              kind="statistical", anchor=ANCHORS["coupling"],
                              lhs=abs(last.mean), rhs=bound,
@@ -676,13 +651,14 @@ def _suite_coupling(cfg: RunConfig) -> Report:
 def _suite_sample(cfg: RunConfig) -> Report:
     params = cfg.suite_params("sample")
     n_paths = int(params["n_paths"])
+    if n_paths < 0:
+        raise ConfigError([("params.sample.n_paths", "must be >= 0")])
     level = params.get("project")
-    measure = cfg.measure()
-    rng = cfg.stream(0).rng()
-    paths = [sample_path(measure, cfg.T, rng) for _ in range(n_paths)]
+    batch = sample_path_batch(cfg.measure(), cfg.T, cfg.stream(0).rng(), n_paths)
     if level is not None:
-        paths = [project_path(p, int(level)) for p in paths]
-    lines = [p.to_json() for p in paths]
+        batch = batch.project(int(level))
+    # each line goes through JumpPath, which validates the path it dumps
+    lines = [batch.path(i).to_json() for i in range(n_paths)]
     blob = "".join(line + "\n" for line in lines)
     digest = hashlib.sha256(blob.encode()).hexdigest()
     rows = [CheckRow(name="paths_written", kind="deterministic",

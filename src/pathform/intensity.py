@@ -47,7 +47,8 @@ class IntensityMeasure:
     Exactly one of (`points`, `masses`) or `sampler` is set, selecting the
     discrete or the continuous variant.  `origin_flagged` marks discrete
     measures that legitimately carry an origin atom produced by
-    `discretize`; path builders drop the resulting zero marks.
+    `discretize`; path builders drop the resulting zero marks.  A measure
+    is validated once, when it is built.
     """
 
     dimension: int
@@ -56,6 +57,9 @@ class IntensityMeasure:
     sampler: Optional[ContinuousSampler] = None
     description: str = ""
     origin_flagged: bool = False
+
+    def __post_init__(self):
+        self.validate()
 
     @classmethod
     def discrete(cls, atoms: Sequence, dimension: Optional[int] = None,
@@ -115,7 +119,6 @@ class IntensityMeasure:
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """`size` i.i.d. marks as a (size, d) array."""
-        self.validate()
         if self.kind == "discrete":
             idx = rng.choice(len(self.masses), size=size, p=self.masses)
             return self.points[idx].copy()
@@ -137,7 +140,6 @@ class IntensityMeasure:
         """
         if self.kind == "continuous":
             raise UnsupportedVariant("discretize is defined for discrete measures only")
-        self.validate()
         projected = project_mark(self.points, n)
         merged: dict = {}
         for row, m in zip(projected, self.masses):
@@ -150,14 +152,6 @@ class IntensityMeasure:
         flagged = any(np.all(row == 0.0) for row, _ in atoms)
         return IntensityMeasure.discrete(atoms, dimension=self.dimension,
                                          origin_flagged=flagged)
-
-    def mass_at(self, point) -> float:
-        """Exact mass at a point (0.0 when absent); discrete only."""
-        if self.kind != "discrete":
-            raise UnsupportedVariant("mass_at needs a discrete measure")
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        hits = np.all(self.points == point, axis=1)
-        return float(self.masses[hits].sum())
 
 
 # -- builtins --------------------------------------------------------------
@@ -236,12 +230,11 @@ def measure_from_spec(spec: dict) -> IntensityMeasure:
                 problems.append((f"measure.atoms[{i}]", "expected [point, mass]"))
         if problems:
             raise ConfigError(problems)
-        measure = IntensityMeasure.discrete(atoms, dimension=dim if isinstance(dim, int) else None)
         try:
-            measure.validate()
+            return IntensityMeasure.discrete(
+                atoms, dimension=dim if isinstance(dim, int) else None)
         except (NonProbability, AtomAtOrigin, DimensionMismatch) as exc:
             raise ConfigError([("measure.atoms", f"{type(exc).__name__}: {exc}")])
-        return measure
     if kind == "continuous":
         problems.append(("measure.builtin",
                          "continuous measures need a builtin sampler in config"))

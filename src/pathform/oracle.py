@@ -124,7 +124,6 @@ class LatticeModel:
                      truncation_tolerance: float = 1e-12) -> "LatticeModel":
         if measure.kind != "discrete":
             raise UnsupportedMeasure("lattice model needs a discrete measure")
-        measure.validate()
         pmf = {}
         for point, mass in zip(measure.points, measure.masses):
             pmf[_as_point(point, measure.dimension)] = float(mass)

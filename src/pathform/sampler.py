@@ -1,19 +1,19 @@
 """Path sampling: unit-rate jump times, random shifts, lattice projections.
 
-Two engines share the same law.  The per-path functions (`sample_path`,
-`sample_shifted`) draw exponential interarrivals one path at a time and are
-the reference implementation behind the CLI path dumps.  `PathBatch` holds
-many paths in flat arrays (jump counts, sorted times, marks) and backs the
-Monte Carlo estimators; given a chunk's stream it draws counts, then raw
-times, then marks, then shift times, then shift marks, in that fixed order.
+One engine draws every path.  `PathBatch` holds many paths in flat arrays
+(jump counts, per-path-sorted times, marks); given a stream,
+`sample_path_batch` draws counts, then raw times, then marks, and
+`sample_shifted_batch` goes on to shift times, then shift marks, in that
+fixed order.  `sample_path` is the same engine asked for one path.
 
-Both engines are pure functions of (inputs, stream state), so fixed seeds
-give bit-identical output regardless of worker count.
+Sampling is a pure function of (inputs, stream state), so fixed seeds give
+bit-identical output regardless of worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,55 +43,6 @@ class StreamConfig:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-# -- per-path reference engine ----------------------------------------------
-
-def sample_path(measure: IntensityMeasure, horizon: float,
-                rng: np.random.Generator) -> JumpPath:
-    """One path: cumulative unit-mean exponentials as jump times, truncated
-    at the horizon, then i.i.d. marks.  Zero marks (possible only for
-    flagged discretized measures) are dropped as no-op jumps."""
-    measure.validate()
-    times = []
-    acc = rng.exponential()
-    while acc <= horizon:
-        times.append(acc)
-        acc += rng.exponential()
-    marks = measure.sample_batch(rng, len(times))
-    if len(times):
-        keep = ~np.all(marks == 0.0, axis=1)
-        times = np.asarray(times)[keep]
-        marks = marks[keep]
-    return JumpPath(float(horizon), measure.dimension,
-                    np.asarray(times, dtype=float),
-                    np.asarray(marks, dtype=float).reshape(-1, measure.dimension))
-
-
-@dataclass(frozen=True)
-class ShiftedSample:
-    """A base path together with its randomly shifted copy."""
-
-    base: JumpPath
-    tau: float
-    xi: np.ndarray
-    shifted: JumpPath
-
-
-def sample_shifted(measure: IntensityMeasure, horizon: float,
-                   rng: np.random.Generator) -> ShiftedSample:
-    """Draw the base path, then tau ~ Uniform[0, T], then the shift mark,
-    in that order from the one stream."""
-    base = sample_path(measure, horizon, rng)
-    tau = float(rng.uniform(0.0, horizon))
-    while tau == 0.0:  # probability-zero guard; shift requires t > 0
-        tau = float(rng.uniform(0.0, horizon))
-    xi = measure.sample(rng)
-    if np.all(xi == 0.0):
-        shifted = base
-    else:
-        shifted = base.shift(tau, xi)
-    return ShiftedSample(base=base, tau=tau, xi=xi, shifted=shifted)
-
-
 def project_path(path: JumpPath, n: int) -> JumpPath:
     """Same jump times, marks snapped to 2^{-n} Z^d; zero projections drop."""
     if path.n_jumps == 0:
@@ -101,8 +52,6 @@ def project_path(path: JumpPath, n: int) -> JumpPath:
     return JumpPath(path.horizon, path.dimension,
                     path.times[keep], marks[keep])
 
-
-# -- flat batch engine -------------------------------------------------------
 
 @dataclass(frozen=True)
 class PathBatch:
@@ -119,6 +68,11 @@ class PathBatch:
     @property
     def size(self) -> int:
         return len(self.counts)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(B + 1,) int64; path i owns flat entries offsets[i]:offsets[i + 1]."""
+        return np.concatenate([[0], np.cumsum(self.counts)])
 
     def coords_at(self, query_times) -> np.ndarray:
         """Path values at each query time: (B, n, d) array."""
@@ -152,9 +106,8 @@ class PathBatch:
             return np.zeros(B)
         err = self.marks - project_mark(self.marks, n)
         csum = np.cumsum(err, axis=0)
-        offsets = np.concatenate([[0], np.cumsum(self.counts)])[:-1]
         nonempty_idx = np.flatnonzero(self.counts > 0)
-        starts = offsets[nonempty_idx]
+        starts = self.offsets[nonempty_idx]
         # within-path prefix sums: subtract the global cumsum just before
         # each path's first jump
         start_base = np.zeros((B, err.shape[1]))
@@ -168,16 +121,16 @@ class PathBatch:
 
     def path(self, i: int) -> JumpPath:
         """Materialize one path as a JumpPath (spot checks, dumps)."""
-        sel = self.path_ids == i
+        lo, hi = self.offsets[i], self.offsets[i + 1]
         return JumpPath(self.horizon, self.dimension,
-                        self.times[sel], self.marks[sel])
+                        self.times[lo:hi], self.marks[lo:hi])
 
 
 def sample_path_batch(measure: IntensityMeasure, horizon: float,
                       rng: np.random.Generator, size: int) -> PathBatch:
-    """Vectorized equivalent of `sample_path`: Poisson(T) jump counts, jump
-    times as per-path-sorted uniforms, then i.i.d. marks."""
-    measure.validate()
+    """`size` paths: Poisson(T) jump counts, jump times as per-path-sorted
+    uniforms, then i.i.d. marks.  Zero marks (possible only for flagged
+    discretized measures) are dropped as no-op jumps."""
     counts = rng.poisson(lam=horizon, size=size)
     total = int(counts.sum())
     raw_times = rng.uniform(0.0, horizon, size=total)
@@ -193,6 +146,12 @@ def sample_path_batch(measure: IntensityMeasure, horizon: float,
         counts = np.bincount(path_ids, minlength=size)
     return PathBatch(float(horizon), measure.dimension, counts,
                      times, marks, path_ids)
+
+
+def sample_path(measure: IntensityMeasure, horizon: float,
+                rng: np.random.Generator) -> JumpPath:
+    """One path: a batch of one from `sample_path_batch`."""
+    return sample_path_batch(measure, horizon, rng, 1).path(0)
 
 
 @dataclass(frozen=True)
@@ -221,8 +180,8 @@ class ShiftedBatch:
 
 def sample_shifted_batch(measure: IntensityMeasure, horizon: float,
                          rng: np.random.Generator, size: int) -> ShiftedBatch:
-    """Batch analogue of `sample_shifted`; draw order is paths, then shift
-    times, then shift marks."""
+    """Base paths with random shifts X + xi 1_[tau, T]; draw order is paths,
+    then shift times, then shift marks."""
     base = sample_path_batch(measure, horizon, rng, size)
     tau = rng.uniform(0.0, horizon, size=size)
     xi = measure.sample_batch(rng, size)

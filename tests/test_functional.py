@@ -6,7 +6,12 @@ import pytest
 import pathform as pf
 from pathform import CylindricalFunctional, JumpPath, StreamConfig
 from pathform.errors import BoundViolation, HorizonMismatch, NoSuchJump
-from pathform.functional import _generator_values_batch
+from pathform.functional import (
+    DEFAULT_CHUNK,
+    _chunk_sizes,
+    _generator_values_batch,
+    _run_chunked,
+)
 from pathform.sampler import sample_path_batch
 
 
@@ -44,6 +49,14 @@ def test_bound_violation_detected():
     p = JumpPath.from_jumps(1.0, [(0.5, 2.0)])
     with pytest.raises(BoundViolation):
         pf.evaluate(F, p)
+
+
+def test_nan_is_a_bound_violation(pm1_model):
+    F = CylindricalFunctional(times=(1.0,), f=lambda a: math.nan, name="nan")
+    with pytest.raises(BoundViolation):
+        pf.evaluate(F, JumpPath.empty(1.0))
+    with pytest.raises(BoundViolation):
+        pf.expect_cylindrical(pm1_model, 1.0, F)
 
 
 def test_horizon_mismatch():
@@ -122,14 +135,14 @@ def test_energy_mc_matches_exact(pm1, pm1_model):
         batch=lambda c: ((c[:, 0] == 0) & (c[:, 1] == 0)).astype(float),
         bound=1.0)
     est = pf.energy_mc(F, pm1, 1.0, 200_000, StreamConfig(seed=8))
-    exact = pf.energy_exact_cylindrical(F, pm1_model, 1.0)
+    exact = pf.exact_energy(pm1_model, 1.0, F)
     assert abs(est.mean - exact) <= 4.0 * est.stderr
 
 
 def test_estimator_level_poincare(pm1, pm1_model):
     F = ind0()
     mo = pf.moments_mc(F, pm1, 1.0, 100_000, StreamConfig(seed=9))
-    energy = pf.energy_exact_cylindrical(F, pm1_model, 1.0)
+    energy = pf.exact_energy(pm1_model, 1.0, F)
     variance = mo.second_moment.mean - mo.mean.mean ** 2
     slack = 5.0 * (mo.second_moment.stderr + 2.0 * abs(mo.mean.mean) * mo.mean.stderr)
     assert variance <= 1.0 * energy + slack
@@ -268,6 +281,22 @@ def test_estimates_independent_of_worker_count(pm1, monkeypatch):
     monkeypatch.setenv("PATHFORM_THREADS", "4")
     b = pf.energy_mc(ind0(), pm1, 1.0, 150_000, StreamConfig(seed=20))
     assert a == b
+
+
+def test_reducer_stable_under_large_offset():
+    # the sum-of-squares formula cancels to stderr 0.0 on this input
+    n, cfg = 200_000, StreamConfig(seed=22)
+
+    def chunk(rng, size):
+        return [1e6 + rng.normal(0.0, 1e-3, size), np.full(size, 0.7)]
+
+    noisy, const = _run_chunked(n, cfg, chunk)
+    values = np.concatenate([chunk(cfg.chunk_rng(i), size)[0] for i, size
+                             in enumerate(_chunk_sizes(n, DEFAULT_CHUNK))])
+    ref = values.std(ddof=1) / math.sqrt(n)
+    assert abs(noisy.stderr - ref) <= 0.01 * ref
+    assert abs(noisy.mean - values.mean()) <= 1e-9
+    assert (const.mean, const.stderr, const.n) == (0.7, 0.0, n)
 
 
 def test_rank_counts_condition_on_inserted_mark(pm1):

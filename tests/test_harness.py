@@ -97,6 +97,19 @@ def test_sample_suite_determinism():
     assert a.artifacts["paths_jsonl"] == b.artifacts["paths_jsonl"]
     for line in lines:
         pf.JumpPath.from_json(line)  # valid dump format
+    with pytest.raises(ConfigError):
+        pf.run_suite("sample", small_cfg(params={"sample": {"n_paths": -1}}))
+
+
+def test_projected_dump_matches_project_path():
+    def dump(level):
+        cfg = small_cfg(seed=8, T=3.0, measure={"builtin": "gauss_shifted(0.5,1)"},
+                        params={"sample": {"n_paths": 50, "project": level}})
+        return pf.run_suite("sample", cfg).artifacts["paths_jsonl"].splitlines()
+
+    expected = [pf.project_path(pf.JumpPath.from_json(line), 1).to_json()
+                for line in dump(None)]
+    assert dump(1) == expected
 
 
 def test_report_files(tmp_path):

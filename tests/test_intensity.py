@@ -19,33 +19,28 @@ def test_validate_symmetric_measure(pm1):
 
 
 def test_validate_origin_atom():
-    m = pf.IntensityMeasure.discrete([(0.0, 1.0)])
     with pytest.raises(AtomAtOrigin):
-        m.validate()
+        pf.IntensityMeasure.discrete([(0.0, 1.0)])
 
 
 def test_validate_non_probability():
-    m = pf.IntensityMeasure.discrete([(1.0, 0.6), (-1.0, 0.6)])
     with pytest.raises(NonProbability):
-        m.validate()
+        pf.IntensityMeasure.discrete([(1.0, 0.6), (-1.0, 0.6)])
 
 
 def test_validate_negative_mass():
-    m = pf.IntensityMeasure.discrete([(1.0, 1.5), (-1.0, -0.5)])
     with pytest.raises(NonProbability):
-        m.validate()
+        pf.IntensityMeasure.discrete([(1.0, 1.5), (-1.0, -0.5)])
 
 
 def test_validate_duplicate_atoms():
-    m = pf.IntensityMeasure.discrete([(1.0, 0.5), (1.0, 0.5)])
     with pytest.raises(NonProbability):
-        m.validate()
+        pf.IntensityMeasure.discrete([(1.0, 0.5), (1.0, 0.5)])
 
 
 def test_validate_dimension_mismatch():
-    m = pf.IntensityMeasure.discrete([((1.0, 0.0), 1.0)], dimension=3)
     with pytest.raises(DimensionMismatch):
-        m.validate()
+        pf.IntensityMeasure.discrete([((1.0, 0.0), 1.0)], dimension=3)
 
 
 def test_sample_support_membership(pm1):

@@ -93,7 +93,7 @@ def test_mc_engines_match_oracle_d2(model2, cross_f):
     exact = pf.expect_cylindrical(model2, 1.0, cross_f)
     assert abs(mo.mean.mean - exact) <= 4.0 * mo.mean.stderr
     est = pf.energy_mc(cross_f, measure, 1.0, 150_000, StreamConfig(seed=62))
-    energy = pf.energy_exact_cylindrical(cross_f, model2, 1.0)
+    energy = pf.exact_energy(model2, 1.0, cross_f)
     assert abs(est.mean - energy) <= 4.0 * est.stderr
 
 
