@@ -79,12 +79,15 @@ class PathBatch:
         q = np.asarray(query_times, dtype=float)
         B, d = self.size, self.dimension
         out = np.zeros((B, len(q), d))
+        # Jumps after t weigh +0.0 instead of being filtered out: bincount
+        # then adds the same marks in the same order, and x + 0.0 == x for
+        # every partial sum (none is -0.0), so the sums are bit-identical.
         for j, t in enumerate(q):
             sel = self.times <= t
-            ids = self.path_ids[sel]
             for c in range(d):
-                out[:, j, c] = np.bincount(ids, weights=self.marks[sel, c],
-                                           minlength=B)
+                out[:, j, c] = np.bincount(
+                    self.path_ids, weights=np.where(sel, self.marks[:, c], 0.0),
+                    minlength=B)
         return out
 
     def project(self, n: int) -> "PathBatch":
@@ -126,17 +129,42 @@ class PathBatch:
                         self.times[lo:hi], self.marks[lo:hi])
 
 
+def _path_order(path_ids: np.ndarray, raw_times: np.ndarray,
+                horizon: float) -> np.ndarray:
+    """The permutation `np.lexsort((raw_times, path_ids))`, for grouped
+    nondecreasing `path_ids` and `raw_times` in [0, horizon].
+
+    A stable argsort of the key `path_id + t / horizon` gives it: the key is
+    a rounded, hence monotone, function of (path_id, t), so paths stay in
+    place and times within a path come out in order.  Rounding can merge
+    two distinct times of one path into one key, which a stable sort then
+    leaves in draw order; that shows as a time decreasing inside a path.
+    When it happens, fall back to the exact lexsort.  When it does not, ties
+    in the key are ties in (path_id, t) or already in order, so the
+    permutation is lexsort's.
+    """
+    order = np.argsort(path_ids + raw_times / horizon, kind="stable")
+    times = raw_times[order]
+    if np.any((times[1:] < times[:-1]) & (path_ids[1:] == path_ids[:-1])):
+        order = np.lexsort((raw_times, path_ids))
+    return order
+
+
 def sample_path_batch(measure: IntensityMeasure, horizon: float,
                       rng: np.random.Generator, size: int) -> PathBatch:
     """`size` paths: Poisson(T) jump counts, jump times as per-path-sorted
     uniforms, then i.i.d. marks.  Zero marks (possible only for flagged
-    discretized measures) are dropped as no-op jumps."""
+    discretized measures) are dropped as no-op jumps.
+
+    Times are ordered by one stable argsort of `path_id + t / T`; when
+    rounding merges two distinct times of one path into one key, the batch
+    falls back to `np.lexsort` on (path_id, t).  Either way the order, and
+    so the stream, is the same (`_path_order`)."""
     counts = rng.poisson(lam=horizon, size=size)
     total = int(counts.sum())
     raw_times = rng.uniform(0.0, horizon, size=total)
     path_ids = np.repeat(np.arange(size, dtype=np.int64), counts)
-    order = np.lexsort((raw_times, path_ids))
-    times = raw_times[order]
+    times = raw_times[_path_order(path_ids, raw_times, horizon)]
     marks = measure.sample_batch(rng, total)
     keep = ~np.all(marks == 0.0, axis=1)
     if not np.all(keep):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import special, stats
 
 import pathform as pf
@@ -138,6 +139,30 @@ def test_count_weighted_pmf_mecke_identity(pm1_model):
             for point, val in table.items():
                 ref = s * pm1_model.mass(k) * p.get(point[0] - k)
                 assert abs(val - ref) <= 1e-12
+
+
+MECKE_MODELS = (
+    pf.LatticeModel({(1,): 0.5, (-1,): 0.5}),
+    pf.LatticeModel({(-1,): 0.3, (1,): 0.5, (2,): 0.2}),
+    pf.LatticeModel({(1, 0): 0.4, (0, 1): 0.3, (-1, 0): 0.2, (0, -1): 0.1}),
+)
+
+
+@given(model=st.sampled_from(MECKE_MODELS),
+       s=st.floats(min_value=0.05, max_value=3.0),
+       pick=st.integers(min_value=0, max_value=3))
+def test_count_weighted_pmf_mecke_property(model, s, pick):
+    # Mecke: A(v) = s nu(k) p_s(v - k) on the union of both supports.  Each
+    # side drops at most its certified tail at any point; the identity holds
+    # to ~1e-13 here, well inside the tails' sum
+    k = sorted(model.pmf)[pick % len(model.pmf)]
+    table, tail = pf.count_weighted_pmf(model, s, k)
+    p = pf.transition_pmf(model, s)
+    scale = s * model.pmf[k]
+    tol = tail + scale * p.tail_mass + 1e-14
+    shifted = {tuple(a + b for a, b in zip(v, k)): q for v, q in p.probs.items()}
+    for v in set(table) | set(shifted):
+        assert abs(table.get(v, 0.0) - scale * shifted.get(v, 0.0)) <= tol
 
 
 def test_expect_with_count_of_one(pm1_model):

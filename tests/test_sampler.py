@@ -1,11 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
 import pathform as pf
 from pathform import JumpPath, StreamConfig
-from pathform.sampler import sample_path_batch, sample_shifted_batch
+from pathform.sampler import _path_order, sample_path_batch, sample_shifted_batch
 
 
 def test_sample_path_determinism(pm1):
@@ -120,12 +121,85 @@ def test_batch_paths_match_flat_arrays(u12):
             assert np.array_equal(p.marks, b.marks[sel])
 
 
+def _drawn_ids_and_times(T, size, seed):
+    # the sampler's own construction: grouped ids, unsorted raw times
+    rng = StreamConfig(seed=seed).rng()
+    counts = rng.poisson(lam=T, size=size)
+    raw = rng.uniform(0.0, T, size=int(counts.sum()))
+    return np.repeat(np.arange(size, dtype=np.int64), counts), raw
+
+
+def _count_lexsort(monkeypatch) -> list:
+    """Record each np.lexsort call from here on, to see which branch ran."""
+    calls, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(keys) or lexsort(keys))
+    return calls
+
+
+def test_path_order_equals_lexsort_on_drawn_batches(monkeypatch):
+    # 2**20 paths put ids where a float64 key keeps only 32 fraction bits
+    cases = [(1e-3, 5000), (1.0, 5000), (4.0, 5000), (1e3, 300), (1.0, 2**20)]
+    lexsort = np.lexsort
+    calls = _count_lexsort(monkeypatch)
+    for seed, (T, size) in enumerate(cases, start=60):
+        ids, raw = _drawn_ids_and_times(T, size, seed)
+        got, want = _path_order(ids, raw, T), lexsort((raw, ids))
+        assert got.dtype == want.dtype and np.array_equal(got, want), (T, size)
+    assert calls == []  # no fallback: the argsort alone gave lexsort's order
+
+
+def test_path_order_key_collision_falls_back(monkeypatch):
+    # 2**20 + (0.5 + 2**-40) rounds to 2**20 + 0.5: the keys tie, and the
+    # stable order would keep the larger time first
+    ids = np.array([3, 3, 2**20, 2**20, 2**20 + 1], dtype=np.int64)
+    raw = np.array([0.3, 0.3, 0.5 + 2.0**-40, 0.5, 0.1])
+    want = np.lexsort((raw, ids))
+    calls = _count_lexsort(monkeypatch)
+    got = _path_order(ids, raw, 1.0)
+    assert len(calls) == 1  # the fallback ran
+    assert np.array_equal(got, want)
+    assert got.tolist() == [0, 1, 3, 2, 4]
+
+
+def test_path_order_empty_and_jump_free_paths(pm1):
+    empty = _path_order(np.zeros(0, dtype=np.int64), np.zeros(0), 1.0)
+    assert np.array_equal(empty, np.lexsort((np.zeros(0), np.zeros(0, np.int64))))
+    batch = sample_path_batch(pm1, 1.0, StreamConfig(seed=65).rng(), 0)
+    assert batch.size == 0 and len(batch.times) == 0
+    assert batch.coords_at([0.5, 1.0]).shape == (0, 2, 1)
+    # ids 0 and 2 draw no jumps
+    ids = np.array([1, 1, 1, 3, 4, 4], dtype=np.int64)
+    raw = np.array([0.9, 0.1, 0.5, 0.2, 0.7, 0.3])
+    assert np.array_equal(_path_order(ids, raw, 1.0), np.lexsort((raw, ids)))
+
+
 def test_batch_coords_match_path_coordinates(u12):
     batch = sample_path_batch(u12, 1.0, StreamConfig(seed=41).rng(), 300)
     times = [0.25, 0.7, 1.0]
     coords = batch.coords_at(times)
     for i in (0, 50, 299):
         assert np.allclose(coords[i], batch.path(i).coordinates(times))
+
+
+def _gauss2():
+    def draw(rng, size):
+        return rng.normal(0.3, 1.0, size=(size, 2))
+    return pf.IntensityMeasure.continuous(draw, 2, "normal2")
+
+
+@pytest.mark.parametrize("measure", [pf.uniform_pm1(), pf.gauss_shifted(0.5, 1.0),
+                                     _gauss2()], ids=["lattice_d1", "cont_d1", "cont_d2"])
+def test_coords_at_bytes_equal_path_coordinates(measure):
+    T = 2.0
+    batch = sample_path_batch(measure, T, StreamConfig(seed=66).rng(), 400)
+    first = float(batch.times.min())
+    q = [0.0, first / 2, 0.7, 1.3, T]  # before every jump, ..., at T
+    coords = batch.coords_at(q)
+    assert coords.shape == (400, len(q), measure.dimension)
+    for i in range(batch.size):
+        assert coords[i].tobytes() == batch.path(i).coordinates(q).tobytes()
+    empty = sample_path_batch(measure, T, StreamConfig(seed=66).rng(), 0)
+    assert empty.coords_at(q).shape == (0, len(q), measure.dimension)
 
 
 def test_batch_shifted_coords_match_shift(u12):
