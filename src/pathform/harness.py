@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -47,6 +48,7 @@ from .oracle import (
     semigroup_gap,
     small_time_table,
 )
+from .path import paths_to_jsonl
 from .sampler import StreamConfig, sample_path_batch
 
 SUITE_NAMES = ("qi", "poincare", "generator", "semigroup", "smalltime",
@@ -650,21 +652,30 @@ def _suite_coupling(cfg: RunConfig) -> Report:
 
 def _suite_sample(cfg: RunConfig) -> Report:
     params = cfg.suite_params("sample")
-    n_paths = int(params["n_paths"])
-    if n_paths < 0:
-        raise ConfigError([("params.sample.n_paths", "must be >= 0")])
+    n_paths = params["n_paths"]
+    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 0:
+        raise ConfigError([("params.sample.n_paths",
+                            f"must be an integer >= 0, got {n_paths!r}")])
     level = params.get("project")
+    # the lattice scale 2**n and its spacing 2**-n must both be finite floats
+    if level is not None and (not isinstance(level, int) or isinstance(level, bool)
+                              or abs(level) >= sys.float_info.max_exp):
+        raise ConfigError([("params.sample.project",
+                            f"must be null or an integer with |project| < "
+                            f"{sys.float_info.max_exp}, got {level!r}")])
     batch = sample_path_batch(cfg.measure(), cfg.T, cfg.stream(0).rng(), n_paths)
     if level is not None:
-        batch = batch.project(int(level))
-    # each line goes through JumpPath, which validates the path it dumps
-    lines = [batch.path(i).to_json() for i in range(n_paths)]
-    blob = "".join(line + "\n" for line in lines)
+        batch = batch.project(level)
+    # written straight from the flat arrays, which are validated once by the
+    # rule JumpPath applies; line i equals batch.path(i).to_json()
+    blob = paths_to_jsonl(batch.horizon, batch.dimension, batch.times,
+                          batch.marks, batch.offsets)
+    written = blob.count("\n")
     digest = hashlib.sha256(blob.encode()).hexdigest()
     rows = [CheckRow(name="paths_written", kind="deterministic",
-                     anchor=ANCHORS["sample"], lhs=float(len(lines)),
-                     rhs=float(n_paths), diff=float(len(lines) - n_paths),
-                     threshold=0.0, passed=len(lines) == n_paths)]
+                     anchor=ANCHORS["sample"], lhs=float(written),
+                     rhs=float(n_paths), diff=float(written - n_paths),
+                     threshold=0.0, passed=written == n_paths)]
     return _finish("sample", cfg, rows,
                    artifacts={"paths_jsonl": blob, "paths_sha256": digest})
 

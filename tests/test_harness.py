@@ -101,6 +101,20 @@ def test_sample_suite_determinism():
         pf.run_suite("sample", small_cfg(params={"sample": {"n_paths": -1}}))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_paths", 2.5), ("n_paths", True), ("n_paths", "x"),
+    ("project", 2.7), ("project", True), ("project", "2"),
+    ("project", 2000), ("project", -2000),
+])
+def test_sample_suite_rejects_bad_params(tmp_path, key, value):
+    with pytest.raises(ConfigError) as exc:
+        pf.run_suite("sample", small_cfg(params={"sample": {key: value}}))
+    assert [path for path, _ in exc.value.fields] == [f"params.sample.{key}"]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"params": {"sample": {key: value}}}))
+    assert cli.main(["sample", "--config", str(cfg)]) == 2
+
+
 def test_projected_dump_matches_project_path():
     def dump(level):
         cfg = small_cfg(seed=8, T=3.0, measure={"builtin": "gauss_shifted(0.5,1)"},

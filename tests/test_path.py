@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pathform import JumpPath
+import pathform as pf
+from pathform import JumpPath, PathBatch, StreamConfig, sample_path_batch
 from pathform.errors import (
     DimensionMismatch,
     HorizonMismatch,
@@ -11,6 +12,7 @@ from pathform.errors import (
     ZeroMark,
     ZeroShift,
 )
+from pathform.path import _JSONL_BLOCK, paths_to_jsonl
 
 
 @st.composite
@@ -233,3 +235,83 @@ def test_json_round_trip():
 def test_json_shape():
     obj = JumpPath.from_jumps(2.0, [(0.5, (1.0, -2.0))], dimension=2).to_json_obj()
     assert obj == {"T": 2.0, "d": 2, "jumps": [[0.5, [1.0, -2.0]]]}
+
+
+# -- JSON lines straight from flat arrays --------------------------------------------
+
+def batch_jsonl(batch):
+    return paths_to_jsonl(batch.horizon, batch.dimension, batch.times,
+                          batch.marks, batch.offsets)
+
+
+def gauss2():
+    return pf.IntensityMeasure.continuous(
+        lambda rng, size: rng.normal(0.5, 1.0, size=(size, 2)), dimension=2)
+
+
+@pytest.mark.parametrize("measure, T, n_paths, level", [
+    (pf.uniform_pm1(), 1.0, 400, None),
+    (pf.gauss_shifted(0.5, 1.0), 4.0, 400, None),
+    (pf.gauss_shifted(0.5, 1.0), 4.0, 400, 4),
+    (gauss2(), 2.0, 400, None),
+    (pf.uniform_pm1(), 0.3, 400, None),
+    (pf.uniform_pm1(), 1.0, 0, None),
+    (pf.gauss_shifted(0.5, 1.0), 1.0, 5000, None),
+], ids=["pm1", "gauss", "gauss-level4", "gauss-2d", "T0.3", "empty", "blocks"])
+def test_jsonl_lines_equal_path_to_json(measure, T, n_paths, level):
+    batch = sample_path_batch(measure, T, StreamConfig(seed=71).rng(), n_paths)
+    if level is not None:
+        batch = batch.project(level)
+    expected = "".join(batch.path(i).to_json() + "\n" for i in range(n_paths))
+    assert batch_jsonl(batch) == expected
+    if n_paths:
+        assert np.any(batch.counts == 0)  # jump-free paths are covered
+    if n_paths == 5000:
+        assert n_paths > 2 * _JSONL_BLOCK  # lines on both sides of two block edges
+
+
+def test_jsonl_boundary_times_and_special_floats():
+    # path 0 ends at the time path 2 starts, with an empty path between;
+    # marks encode as json.dumps writes them
+    batch = PathBatch(1.0, 1, np.array([2, 0, 1]), np.array([0.25, 0.5, 0.5]),
+                      np.array([[np.inf], [np.nan], [-1e-300]]),
+                      np.array([0, 0, 2]))
+    lines = batch_jsonl(batch).split("\n")
+    assert lines == [batch.path(i).to_json() for i in range(3)] + [""]
+    assert lines[0] == '{"T": 1.0, "d": 1, "jumps": [[0.25, [Infinity]], [0.5, [NaN]]]}'
+
+
+def flat_paths(times, counts, marks=None):
+    times = np.asarray(times, dtype=float)
+    marks = np.ones((len(times), 1)) if marks is None else np.asarray(marks, dtype=float)
+    return times, marks, np.concatenate([[0], np.cumsum(counts)])
+
+
+@pytest.mark.parametrize("times, counts, marks, horizon, error, culprit", [
+    ([], [0], None, 0.0, TimeOutOfRange, 0),
+    ([0.5, 0.0], [1, 1], None, 1.0, TimeOutOfRange, 1),
+    ([0.5, 1.5], [1, 1], None, 1.0, TimeOutOfRange, 1),
+    ([0.2, 0.2], [0, 2], None, 1.0, UnsortedTimes, 1),
+    ([0.1, 0.4, 0.3], [1, 2], None, 1.0, UnsortedTimes, 1),
+    ([0.5, 0.7], [1, 1], [[1.0], [0.0]], 1.0, ZeroMark, 1),
+], ids=["horizon", "time-zero", "past-T", "repeat", "decrease", "zero-mark"])
+def test_jsonl_rejects_what_jumppath_rejects(times, counts, marks, horizon, error,
+                                             culprit):
+    times, marks, offsets = flat_paths(times, counts, marks)
+    with pytest.raises(error):
+        paths_to_jsonl(horizon, 1, times, marks, offsets)
+    lo, hi = offsets[culprit], offsets[culprit + 1]
+    with pytest.raises(error):
+        JumpPath(horizon, 1, times[lo:hi], marks[lo:hi])
+
+
+@pytest.mark.parametrize("times, counts", [
+    ([0.5, 0.5], [1, 1]),
+    ([0.5, 0.3], [1, 1]),
+    ([0.2, 0.5, 0.5, 0.9], [2, 0, 2]),
+])
+def test_jsonl_paths_may_restart_at_a_boundary(times, counts):
+    times, marks, offsets = flat_paths(times, counts)
+    lines = paths_to_jsonl(1.0, 1, times, marks, offsets).split("\n")[:-1]
+    assert [JumpPath.from_json(line).times.tolist() for line in lines] == [
+        times[offsets[i]:offsets[i + 1]].tolist() for i in range(len(counts))]

@@ -27,9 +27,17 @@ def test_distinct_stream_indices_differ(pm1):
 def test_jump_count_mean_per_path(pm1):
     # N_T has mean T; n paths give a 4 sigma band of 4 sqrt(T/n)
     n, T = 100_000, 2.0
-    rng = StreamConfig(seed=21).rng()
-    counts = [pf.sample_path(pm1, T, rng).count_jumps() for _ in range(n)]
+    counts = sample_path_batch(pm1, T, StreamConfig(seed=21).rng(), n).counts
     assert abs(np.mean(counts) - T) <= 4.0 * math.sqrt(T / n)
+
+
+def test_sample_path_calls_follow_one_path_batches(pm1):
+    rng, twin = StreamConfig(seed=21).rng(), StreamConfig(seed=21).rng()
+    for _ in range(1000):
+        path = pf.sample_path(pm1, 2.0, rng)
+        batch = sample_path_batch(pm1, 2.0, twin, 1)
+        assert path.times.tobytes() == batch.times.tobytes()
+        assert path.marks.tobytes() == batch.marks.tobytes()
 
 
 def test_jump_count_law_batch(pm1):

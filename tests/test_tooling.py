@@ -29,14 +29,23 @@ def test_tracer_installs_and_uninstalls():
     originals = (sampler.sample_path_batch, functional._run_chunked,
                  pf.IntensityMeasure.validate)
     cfg = pf.default_config(params={"sample": {"n_paths": 5, "project": 2}})
+
+    def suite_and_one_path():
+        one = pf.sample_path(pf.uniform_pm1(), 1.0, pf.StreamConfig(seed=3).rng())
+        one.to_json()
+        return pf.run_suite("sample", cfg)
+
     t = tracer.Tracer()
     t.install()
     try:
-        report = t.request(lambda: pf.run_suite("sample", cfg))
+        report = t.request(suite_and_one_path)
+        dump_only = t.request(lambda: pf.run_suite("sample", cfg))
     finally:
         t.uninstall()
-    assert report.overall_pass
+    assert report.overall_pass and dump_only.overall_pass
     names = {span[2] for span in t.requests[0]}
     assert {"sampler.sample_path_batch", "path.to_json"} <= names
+    # the sample suite writes its dump from the batch, without a JumpPath
+    assert "path.init" not in {span[2] for span in t.requests[1]}
     assert (sampler.sample_path_batch, functional._run_chunked,
             pf.IntensityMeasure.validate) == originals
