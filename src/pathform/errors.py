@@ -57,6 +57,10 @@ class TruncationTooCoarse(PathformError):
     """A certified truncation error exceeds the requested tolerance."""
 
 
+class GridTooLarge(PathformError):
+    """An exact computation would allocate more than the oracle's budget."""
+
+
 class ConfigError(PathformError):
     """Invalid run configuration; `fields` lists every offending path."""
 

@@ -37,7 +37,11 @@ def project_mark(x, n: int) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     scale = float(2**n)
-    return np.floor(x * scale) / scale
+    with np.errstate(over="ignore"):
+        scaled = x * scale
+    # A finite x whose 2^n * x overflows has exponent >= 1024 - n > 52 - n,
+    # so it already lies on the 2^{-n} lattice and is its own projection.
+    return np.where(np.isinf(scaled) & np.isfinite(x), x, np.floor(scaled) / scale)
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
-from scipy import signal
-from scipy.integrate import simpson
-from scipy.special import xlogy
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import (
     AtomAtOrigin,
     DimensionMismatch,
+    GridTooLarge,
     NonProbability,
     TimeOutOfRange,
     TruncationTooCoarse,
@@ -38,6 +36,29 @@ from .functional import CountFunctional, CylindricalFunctional, _apply_rows
 from .intensity import IntensityMeasure
 
 LatticePoint = Tuple[int, ...]
+
+# Largest IncrementGrid (weights plus coordinates, in bytes) the oracle builds.
+GRID_BUDGET_BYTES = 512 * 2**20
+# Bytes of P_{t-s} f over one block of quadrature nodes in semigroup_gap;
+# blocks keep memory bounded for long t or d > 1.
+_QUAD_BLOCK_BYTES = 16 * 2**20
+
+
+class _Poisson:
+    """Poisson(s) pmf and survival function, from scipy.special alone; the
+    same formulas scipy.stats.poisson evaluates, so the same bits."""
+
+    @staticmethod
+    def pmf(m, s):
+        return np.exp(xlogy(m, s) - gammaln(m + 1) - s)
+
+    @staticmethod
+    def sf(m, s):
+        # P(N > m) is 1 below the support, where pdtrc returns NaN
+        return np.where(np.less(m, 0), 1.0, pdtrc(m, s))
+
+
+poisson = _Poisson()
 
 
 def _as_point(x, dimension: int) -> LatticePoint:
@@ -55,8 +76,7 @@ def poisson_truncation(s: float, eps: float) -> Tuple[int, float]:
         raise TimeOutOfRange(f"elapsed time must be >= 0, got {s}")
     if s == 0:
         return 0, 0.0
-    guess = poisson.isf(eps, s)
-    m = int(guess) if np.isfinite(guess) else 0
+    m = int(s)  # a starting guess; the two loops below find the exact M
     while poisson.sf(m, s) > eps:
         m += 1
     while m > 0 and poisson.sf(m - 1, s) <= eps:
@@ -259,6 +279,13 @@ class IncrementGrid:
         self.tables = [transition_pmf(model, dt) for dt in self.deltas]
         keys, probs = zip(*(t.arrays() for t in self.tables))
         n, d = len(times), model.dimension
+        shape = tuple(len(p) for p in probs)
+        nbytes = math.prod(shape) * (n * d + 1) * 8
+        if nbytes > GRID_BUDGET_BYTES:
+            raise GridTooLarge(
+                f"increment grid of shape {shape} needs {nbytes / 2**20:.1f} MiB "
+                f"for weights and coordinates, over the "
+                f"{GRID_BUDGET_BYTES / 2**20:.0f} MiB budget")
         weights = probs[0]
         for p in probs[1:]:
             weights = np.multiply.outer(weights, p)
@@ -398,9 +425,20 @@ def poincare_check(model: LatticeModel, horizon: float,
 
 def _extract(arr: np.ndarray, lo: np.ndarray, want_lo: np.ndarray,
              want_shape: Sequence[int]) -> np.ndarray:
+    """The box `want_shape` at `want_lo` of `arr`'s trailing axes, whose
+    lower corner is the lattice point `lo`."""
     off = np.asarray(want_lo) - np.asarray(lo)
     slices = tuple(slice(int(o), int(o) + int(s)) for o, s in zip(off, want_shape))
-    return arr[slices]
+    return arr[(Ellipsis,) + slices]
+
+
+def simpson(values: np.ndarray, dx: float) -> float:
+    """Composite Simpson rule on an odd number of equally spaced values:
+    weights 1, 4, 2, 4, ..., 2, 4, 1 times dx / 3."""
+    weights = np.full(len(values), 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    return float(np.dot(weights, values)) * dx / 3.0
 
 
 def semigroup_gap(model: LatticeModel, f: Callable[[np.ndarray], np.ndarray],
@@ -409,8 +447,10 @@ def semigroup_gap(model: LatticeModel, f: Callable[[np.ndarray], np.ndarray],
 
     lhs = P_t f^2(z) - (P_t f(z))^2; rhs integrates s -> P_s Gamma(P_{t-s} f)
     over [0, t] by composite Simpson with the given step, which must divide
-    t into an even number of subintervals.  `f` must accept integer arrays
-    ((...,) for d = 1, (..., d) otherwise) and return values elementwise.
+    t into an even number of subintervals (to within 1e-9 relative; the
+    nodes are then spaced exactly t / steps apart).  `f` must accept integer
+    arrays ((...,) for d = 1, (..., d) otherwise) and return values
+    elementwise.
     """
     t = float(t)
     if t <= 0:
@@ -437,24 +477,37 @@ def semigroup_gap(model: LatticeModel, f: Callable[[np.ndarray], np.ndarray],
     f_arr = np.asarray(f(pts[..., 0] if d == 1 else pts), dtype=float)
     if f_arr.shape != shape_f:
         raise DimensionMismatch("f must return one value per lattice point")
-    ms = np.arange(m_top + 1)
 
-    def pvec(s: float) -> np.ndarray:
-        return np.tensordot(poisson.pmf(ms, s), basis, axes=(0, 0))
-
-    def phi(s: float) -> float:
-        g = signal.correlate(f_arr, pvec(t - s), mode="valid")
+    # Row i holds the jump-count weights of P_{s_i}; P_{t - s_i} is row N - i.
+    nodes = np.linspace(0.0, t, steps + 1)
+    weights = poisson.pmf(np.arange(m_top + 1), nodes[:, None])
+    flat = basis.reshape(m_top + 1, -1)
+    # f correlated with each convolution power on the g-box, summed over
+    # kernel entries in one fixed order (as is the mix over powers below):
+    # a constant f then gets the same value at every point and a square
+    # field of exactly zero, which a BLAS contraction does not guarantee.
+    bcast = (-1,) + (1,) * d
+    corr = np.zeros((m_top + 1,) + shape_g)
+    for k in np.ndindex(*box):
+        window = tuple(slice(i, i + n) for i, n in zip(k, shape_g))
+        corr += basis[(slice(None),) + k].reshape(bcast) * f_arr[window]
+    phi = np.empty(len(nodes))
+    block = max(1, _QUAD_BLOCK_BYTES // corr[0].nbytes)
+    for start in range(0, len(nodes), block):
+        rows = slice(start, start + block)
+        # g[i] = P_{t - s_i} f on the g-box, for the nodes of this block
+        w_left = weights[::-1][rows]
+        g = np.zeros((len(w_left),) + shape_g)
+        for m in range(m_top + 1):
+            g += w_left[:, m].reshape(bcast) * corr[m]
         gz = _extract(g, lo_g, lo_z, box)
-        gam = np.zeros(box)
+        gam = np.zeros(gz.shape)
         for x, w in model.pmf.items():
-            gx = _extract(g, lo_g, lo_z + np.asarray(x), box)
-            gam += w * (gx - gz) ** 2
-        return float(np.dot(pvec(s).reshape(-1), gam.reshape(-1)))
-
-    nodes = np.arange(steps + 1) * quad_step
-    values = np.asarray([phi(s) for s in nodes])
-    rhs = float(simpson(values, dx=quad_step))
-    p_t = pvec(t).reshape(-1)
+            gam += w * (_extract(g, lo_g, lo_z + np.asarray(x), box) - gz) ** 2
+        p_s = weights[rows] @ flat
+        phi[rows] = np.einsum("ij,ij->i", p_s, gam.reshape(len(p_s), -1))
+    rhs = simpson(phi, t / steps)
+    p_t = weights[-1] @ flat
     fz = _extract(f_arr, lo_f, lo_z, box).reshape(-1)
     mean = float(np.dot(p_t, fz))
     lhs = float(np.dot(p_t, fz * fz)) - mean * mean

@@ -1,12 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 import pathform as pf
 from pathform import cli
 from pathform.errors import ConfigError
 from pathform.harness import functional_from_spec
+from pathform.sampler import sample_path_batch
 
 
 def small_cfg(**kw):
@@ -124,6 +127,33 @@ def test_projected_dump_matches_project_path():
     expected = [pf.project_path(pf.JumpPath.from_json(line), 1).to_json()
                 for line in dump(None)]
     assert dump(1) == expected
+
+
+def test_dump_at_top_level_keeps_marks_finite():
+    cfg = small_cfg(seed=8, T=4.0, measure={"builtin": "gauss_shifted(0.5,1)"},
+                    params={"sample": {"n_paths": 50, "project": 1023}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pf.run_suite("sample", cfg)
+    batch = sample_path_batch(cfg.measure(), cfg.T, cfg.stream(0).rng(), 50)
+    assert (np.abs(batch.marks) >= 2.0).any()  # 2**1023 * x overflows there
+    projected = batch.project(1023)
+    assert np.isfinite(projected.marks).all()
+    assert np.array_equal(projected.marks, batch.marks)
+    assert report.artifacts["paths_jsonl"].splitlines() == [
+        projected.path(i).to_json() for i in range(50)]
+
+
+def test_generator_chi2_thresholds_bit_equal_to_scipy_stats():
+    for k in range(1, 200):
+        for p in (0.999, 0.95):
+            assert 2.0 * special.gammaincinv(k / 2, p) == stats.chi2.ppf(p, k)
+    cfg = small_cfg(samples=2000, params={
+        "generator": {"rank_samples": 2000, "rank_counts": [2, 3, 5]}})
+    rows = [row for row in pf.run_suite("generator", cfg).rows
+            if row.name.startswith("pi_rank_uniform")]
+    assert [row.threshold for row in rows] == [
+        stats.chi2.ppf(1.0 - 1e-3, j - 1) for j in (2, 3, 5)]
 
 
 def test_report_files(tmp_path):

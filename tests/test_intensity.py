@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,25 @@ def test_project_mark_euclidean_bound():
     for n in range(5):
         err = np.linalg.norm(x - pf.project_mark(x, n))
         assert err <= math.sqrt(3) * 2.0 ** -n
+
+
+def test_project_mark_keeps_marks_whose_scaled_value_overflows():
+    assert pf.project_mark(1e300, 100).tolist() == [1e300]
+    x = np.array([1e300, -1e300, 2.0, -2.5, 0.3, np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pf.project_mark(x, 1023)
+    assert out[:5].tolist() == [1e300, -1e300, 2.0, -2.5, 0.3]
+    assert np.isposinf(out[5]) and np.isneginf(out[6])
+
+
+def test_project_mark_unchanged_below_overflow():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0.0, 3.0, 500), rng.normal(0.0, 1e6, 100),
+                        [0.0, -0.0, 0.5, -0.5, 1e-300, -1e-300]])
+    for n in range(-20, 41):
+        assert np.array_equal(pf.project_mark(x, n),
+                              np.floor(x * 2.0**n) / 2.0**n)
 
 
 # -- config-level measure specs ------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import pathform as pf
 from pathform import CylindricalFunctional, StreamConfig
 from pathform.errors import (
     AtomAtOrigin,
+    GridTooLarge,
     NonProbability,
     TruncationTooCoarse,
     UnsortedTimes,
     UnsupportedMeasure,
 )
+from pathform.oracle import poisson
 from pathform.sampler import sample_path_batch
 
 
@@ -56,6 +59,37 @@ def test_poisson_truncation_minimal():
         assert tail <= 1e-12
         assert stats.poisson.sf(m - 1, s) > 1e-12  # minimality
     assert pf.poisson_truncation(0.0, 1e-12) == (0, 0.0)
+
+
+def test_poisson_pmf_sf_bit_equal_to_scipy_stats():
+    # the pmf is only asked for counts >= 0; the sf also below the support
+    ms, below = np.arange(60), np.arange(-2, 60)
+    nodes = np.linspace(0.0, 2.0, 2001)
+    for s in [0.0, 0.001, 0.5, 1.0, 2.0, 7.3, 50.0]:
+        assert np.array_equal(poisson.pmf(ms, s), stats.poisson.pmf(ms, s))
+        assert np.array_equal(poisson.sf(below, s), stats.poisson.sf(below, s))
+        for m in (0, 3, 59):  # scalar calls, as the truncation search makes
+            assert poisson.pmf(m, s) == stats.poisson.pmf(m, s)
+            assert poisson.sf(m, s) == stats.poisson.sf(m, s)
+        assert poisson.sf(-1, s) == stats.poisson.sf(-1, s) == 1.0
+    grid = (ms[None, :], nodes[:, None])
+    assert np.array_equal(poisson.pmf(*grid), stats.poisson.pmf(*grid))
+    assert np.array_equal(poisson.sf(*grid), stats.poisson.sf(*grid))
+
+
+def test_poisson_truncation_matches_isf_seeded_search():
+    def isf_seeded(s, eps):
+        guess = stats.poisson.isf(eps, s)
+        m = int(guess) if np.isfinite(guess) else 0
+        while stats.poisson.sf(m, s) > eps:
+            m += 1
+        while m > 0 and stats.poisson.sf(m - 1, s) <= eps:
+            m -= 1
+        return m, float(stats.poisson.sf(m, s))
+
+    for eps in (1e-6, 1e-12, 1e-15):
+        for s in np.geomspace(1e-3, 50.0, 150):
+            assert pf.poisson_truncation(s, eps) == isf_seeded(s, eps)
 
 
 # -- transition tables -------------------------------------------------------------
@@ -120,6 +154,25 @@ def test_expect_two_coordinates_vs_mc(pm1, pm1_model):
     exact = pf.expect_cylindrical(pm1_model, 1.0, F)
     mo = pf.moments_mc(F, pm1, 1.0, 400_000, StreamConfig(seed=52))
     assert abs(mo.mean.mean - exact) <= 4.0 * mo.mean.stderr
+
+
+def test_increment_grid_refuses_a_grid_over_budget():
+    # 5 times at T=5: about 147M grid points, 6.6 GiB of weights and coordinates
+    model = pf.LatticeModel({-1: 0.3, 1: 0.5, 2: 0.2})
+    F = pf.product_indicator((1.0, 2.0, 3.0, 4.0, 5.0), (0, 0, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match=r"shape \(\d+(, \d+){4}\).*512 MiB"):
+            pf.expect_cylindrical(model, 5.0, F)
+        with pytest.raises(GridTooLarge):
+            pf.poincare_check(model, 5.0, F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # the 4-time grid of the same atoms at T=2 stays well inside the budget
+    grid = pf.IncrementGrid(model, 2.0, (0.5, 1.0, 1.5, 2.0))
+    assert grid.weights.nbytes + grid.coords.nbytes < pf.oracle.GRID_BUDGET_BYTES
 
 
 def test_expect_truncation_guard(pm1_model):
@@ -257,6 +310,82 @@ def test_semigroup_off_origin_start(pm1_model):
     lhs, rhs = pf.semigroup_gap(pm1_model, lambda p: (np.asarray(p) == 0).astype(float),
                                 1.0, 2, 1e-3)
     assert abs(lhs - rhs) <= 1e-6
+
+
+def _semigroup_reference(model, f, t, z, quad_step):
+    """semigroup_gap one quadrature node at a time, with scipy.signal's
+    correlate and scipy.integrate's Simpson rule."""
+    from scipy import signal
+    from scipy.integrate import simpson
+
+    d = model.dimension
+    m_top, _ = pf.poisson_truncation(t, model.truncation_tolerance)
+    lo0, basis = model._dense_basis(m_top)
+    box = basis.shape[1:]
+    supp = np.asarray(sorted(model.pmf), dtype=np.int64).reshape(-1, d)
+    s_lo = np.minimum(supp.min(axis=0), 0)
+    s_hi = np.maximum(supp.max(axis=0), 0)
+    lo_z = np.atleast_1d(z) + lo0
+    lo_g = lo_z + s_lo
+    shape_g = tuple(b + int(h - l) for b, h, l in zip(box, s_hi, s_lo))
+    lo_f = lo_g + lo0
+    shape_f = tuple(g + b - 1 for g, b in zip(shape_g, box))
+    pts = np.moveaxis(np.indices(shape_f), 0, -1) + lo_f
+    f_arr = np.asarray(f(pts[..., 0] if d == 1 else pts), dtype=float)
+
+    def sub(arr, lo, want_lo):
+        off = np.asarray(want_lo) - np.asarray(lo)
+        return arr[tuple(slice(int(o), int(o) + n) for o, n in zip(off, box))]
+
+    def pvec(s):
+        return np.tensordot(stats.poisson.pmf(np.arange(m_top + 1), s), basis,
+                            axes=(0, 0))
+
+    def phi(s):
+        g = signal.correlate(f_arr, pvec(t - s), mode="valid")
+        gz = sub(g, lo_g, lo_z)
+        gam = sum(w * (sub(g, lo_g, lo_z + np.asarray(x)) - gz) ** 2
+                  for x, w in model.pmf.items())
+        return float(np.dot(pvec(s).reshape(-1), gam.reshape(-1)))
+
+    nodes = np.arange(round(t / quad_step) + 1) * quad_step
+    rhs = float(simpson([phi(s) for s in nodes], dx=quad_step))
+    p_t = pvec(t).reshape(-1)
+    fz = sub(f_arr, lo_f, lo_z).reshape(-1)
+    mean = float(np.dot(p_t, fz))
+    return float(np.dot(p_t, fz * fz)) - mean * mean, rhs
+
+
+SEMIGROUP_CASES = {
+    1: {"const": lambda p: np.ones(np.shape(p)),
+        "linear": lambda p: np.asarray(p, dtype=float),
+        "ind0": lambda p: (np.asarray(p) == 0).astype(float)},
+    2: {"const": lambda p: np.ones(np.shape(p)[:-1]),
+        "linear": lambda p: (p[..., 0] + 2.0 * p[..., 1]).astype(float),
+        "ind0": lambda p: ((p[..., 0] == 0) & (p[..., 1] == 0)).astype(float)},
+}
+
+
+@pytest.mark.parametrize("pmf, t, z, step", [
+    ({-1: 0.5, 1: 0.5}, 1.0, 0, 1e-2),
+    ({-1: 0.3, 1: 0.5, 2: 0.2}, 1.0, 0, 1e-3),
+    ({-1: 0.3, 1: 0.5, 2: 0.2}, 2.0, 2, 2e-2),
+    ({(1, 0): 0.4, (0, 1): 0.3, (-1, 0): 0.2, (0, -1): 0.1}, 0.5, (1, 0), 1e-2),
+])
+@pytest.mark.parametrize("blocked", [False, True], ids=["all_nodes", "node_by_node"])
+def test_semigroup_gap_matches_correlate_simpson_reference(pmf, t, z, step,
+                                                           blocked, monkeypatch):
+    if blocked:
+        monkeypatch.setattr(pf.oracle, "_QUAD_BLOCK_BYTES", 1)
+    model = pf.LatticeModel(pmf)
+    for name, f in SEMIGROUP_CASES[model.dimension].items():
+        lhs, rhs = pf.semigroup_gap(model, f, t, z, step)
+        ref_lhs, ref_rhs = _semigroup_reference(model, f, t, z, step)
+        assert abs(lhs - ref_lhs) <= 1e-13 * abs(ref_lhs), name
+        if name == "const":
+            assert rhs == 0.0
+        else:
+            assert abs(rhs - ref_rhs) <= 1e-13 * abs(ref_rhs), name
 
 
 def test_semigroup_step_must_divide(pm1_model):
