@@ -4,10 +4,11 @@
 
 Suites: qi, poincare, generator, semigroup, smalltime, lsi, coupling,
 sample.  Exit code 0 when every check row passes, 1 when any row fails, 2 on
-a configuration error.  The `sample` suite additionally accepts --measure
-(a measure-spec JSON file), --n and --project, and prints path dumps as JSON
-lines when no output directory is given.  PATHFORM_THREADS caps the worker
-count without affecting results.
+a configuration error, 3 when a suite raises any other domain error (a
+refused oracle request, an unprojectable mark, ...).  The `sample` suite
+additionally accepts --measure (a measure-spec JSON file), --n and
+--project, and prints path dumps as JSON lines when no output directory is
+given.  PATHFORM_THREADS caps the worker count without affecting results.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, PathformError
 from .harness import SUITE_NAMES, config_from_dict, run_suite
 
 
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except PathformError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.suite == "sample" and not cfg.out:
         sys.stdout.write(report.artifacts.get("paths_jsonl", ""))
     for row in report.rows:

@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     NonProbability,
+    UnsupportedMeasure,
     UnsupportedVariant,
 )
 
@@ -39,9 +40,16 @@ def project_mark(x, n: int) -> np.ndarray:
     scale = float(2**n)
     with np.errstate(over="ignore"):
         scaled = x * scale
-    # A finite x whose 2^n * x overflows has exponent >= 1024 - n > 52 - n,
-    # so it already lies on the 2^{-n} lattice and is its own projection.
-    return np.where(np.isinf(scaled) & np.isfinite(x), x, np.floor(scaled) / scale)
+        # A finite x whose 2^n * x overflows has exponent >= 1024 - n > 52 - n,
+        # so it already lies on the 2^{-n} lattice and is its own projection.
+        out = np.where(np.isinf(scaled) & np.isfinite(x), x, np.floor(scaled) / scale)
+    # At very negative n, rounding down can pass the largest float: -1.7e308
+    # at n = -1023 projects to -2^1024, which no float holds.
+    lost = np.isfinite(x) & ~np.isfinite(out)
+    if np.any(lost):
+        raise UnsupportedMeasure(
+            f"mark {float(x[lost][0])!r} has no finite projection at level {n}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -256,13 +256,28 @@ def count_weighted_pmf(model: LatticeModel, s: float, k) -> Tuple[Dict, float]:
 
 # -- chained-increment expectations ---------------------------------------------
 
+def _run_or_positions(idx: np.ndarray):
+    """A basic slice when the positions form one contiguous run, else the
+    positions.  They come from sorted keys looked up in a sorted support, so
+    they increase strictly and a run is told by its two ends."""
+    if int(idx[-1]) - int(idx[0]) == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 class IncrementGrid:
     """Joint truncated law of the path at a strictly increasing time grid.
 
-    Increments over consecutive intervals are independent; the grid holds
-    the outer-product weights and the running-sum coordinates, so any
-    cylindrical functional (and any argument-shifted variant of it) is an
-    inner product away.
+    Increments over consecutive intervals are independent; `weights` holds
+    their outer-product law in C order.  A random shift by an atom x from
+    coordinate i on adds x to increment i alone, so every coordinate set the
+    oracle needs lies on one padded grid: on interval j, the table's keys
+    united with the keys moved by each atom.  `coords` holds that padded
+    grid's running-sum coordinates, F is evaluated on it once (`values`),
+    and the base and every shifted evaluation are index moves on the result
+    (`read`): `pos[j]` locates the table's keys in interval j's padded
+    support, `shifted[j][x]` the keys plus x.  A map that is a contiguous
+    run is a slice, so the read is a view.
     """
 
     def __init__(self, model: LatticeModel, horizon: float,
@@ -279,39 +294,81 @@ class IncrementGrid:
         self.tables = [transition_pmf(model, dt) for dt in self.deltas]
         keys, probs = zip(*(t.arrays() for t in self.tables))
         n, d = len(times), model.dimension
-        shape = tuple(len(p) for p in probs)
-        nbytes = math.prod(shape) * (n * d + 1) * 8
+        moves = np.asarray([(0,) * d] + list(model.pmf), dtype=np.int64)
+        supports, self.pos, self.shifted = [], [], []
+        for k in keys:
+            moved = (moves[:, None, :] + k[None, :, :]).reshape(-1, d)
+            # rows as C-order offsets in their bounding box: the sort of the
+            # offsets is the lexicographic sort of the rows
+            lo = moved.min(axis=0)
+            box = tuple((moved.max(axis=0) - lo + 1).tolist())
+            offsets, where = np.unique(
+                np.ravel_multi_index(tuple((moved - lo).T), box), return_inverse=True)
+            support = np.stack(np.unravel_index(offsets, box), axis=-1) + lo
+            where = where.reshape(len(moves), len(k))
+            supports.append(support)
+            self.pos.append(_run_or_positions(where[0]))
+            self.shifted.append({x: _run_or_positions(w)
+                                 for x, w in zip(model.pmf, where[1:])})
+        base_shape = tuple(len(p) for p in probs)
+        self.shape = tuple(len(s) for s in supports)
+        nbytes = (math.prod(self.shape) * (n * d + 1) + math.prod(base_shape)) * 8
         if nbytes > GRID_BUDGET_BYTES:
             raise GridTooLarge(
-                f"increment grid of shape {shape} needs {nbytes / 2**20:.1f} MiB "
-                f"for weights and coordinates, over the "
-                f"{GRID_BUDGET_BYTES / 2**20:.0f} MiB budget")
+                f"increment grid of shape {base_shape} (padded {self.shape}) "
+                f"needs {nbytes / 2**20:.1f} MiB for coordinates, values and "
+                f"weights, over the {GRID_BUDGET_BYTES / 2**20:.0f} MiB budget")
         weights = probs[0]
         for p in probs[1:]:
             weights = np.multiply.outer(weights, p)
-        shape = weights.shape
         self.weights = weights.reshape(-1)
-        coords = np.zeros(shape + (n, d))
-        running = np.zeros((1,) * n + (d,))
+        # running sums written in place, column by column
+        coords = np.empty(self.shape + (n, d))
+        prev = 0.0
         for j in range(n):
-            bshape = (1,) * j + (len(probs[j]),) + (1,) * (n - 1 - j) + (d,)
-            running = running + keys[j].astype(float).reshape(bshape)
-            coords[..., j, :] = running
+            bshape = (1,) * j + (self.shape[j],) + (1,) * (n - 1 - j) + (d,)
+            np.add(prev, supports[j].astype(float).reshape(bshape),
+                   out=coords[..., j, :])
+            prev = coords[..., j, :]
         self.coords = coords.reshape(-1, n, d)
         self.tail_bound = float(sum(t.tail_mass for t in self.tables))
 
+    def values(self, F: CylindricalFunctional) -> np.ndarray:
+        """F at every padded grid point, shaped like the padded grid."""
+        return _apply_rows(F, self.coords).reshape(self.shape)
+
+    def read(self, values: np.ndarray, shift_from: int = None,
+             shift: LatticePoint = None) -> np.ndarray:
+        """The base grid's values, shaped like it (a view where every map is
+        a slice); with `shift_from` i and an atom `shift`, those of the
+        paths shifted by it from coordinate i on."""
+        index = list(self.pos)
+        if shift_from is not None and shift_from < len(index):
+            index[shift_from] = self.shifted[shift_from][shift]
+        if not all(isinstance(ix, slice) for ix in index):
+            index = np.ix_(*(np.arange(ix.start, ix.stop) if isinstance(ix, slice)
+                             else ix for ix in index))
+        return values[tuple(index)]
+
     def expect_values(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+        """The weighted sum of values on the base grid (flat or shaped)."""
+        return float(np.dot(self.weights, np.ravel(values)))
 
     def expect(self, F: CylindricalFunctional, shift_from: int = None,
                shift_vec=None) -> float:
         """E f(grid coordinates), optionally with every coordinate from
-        position `shift_from` (0-based) on displaced by `shift_vec`."""
-        coords = self.coords
+        position `shift_from` (0-based) on displaced by `shift_vec`, which
+        must be an atom of the jump measure."""
+        shift = None
         if shift_from is not None:
-            coords = coords.copy()
-            coords[:, shift_from:, :] += np.asarray(shift_vec, dtype=float)
-        return self.expect_values(_apply_rows(F, coords))
+            if not 0 <= shift_from <= len(self.times):
+                raise TimeOutOfRange(
+                    f"shift position {shift_from} outside 0..{len(self.times)}")
+            shift = _as_point(shift_vec, self.model.dimension)
+            if shift not in self.model.pmf:
+                raise UnsupportedMeasure(
+                    f"shift {shift} is not an atom of the jump measure")
+        return self.expect_values(self.read(self.values(F), shift_from, shift))
 
 
 def _check_truncation(grid: IncrementGrid, F: CylindricalFunctional,
@@ -319,6 +376,13 @@ def _check_truncation(grid: IncrementGrid, F: CylindricalFunctional,
     if max_error is not None and grid.tail_bound * F.bound > max_error:
         raise TruncationTooCoarse(
             f"certified error {grid.tail_bound * F.bound:.3e} exceeds {max_error:.3e}")
+
+
+def _mark_point(model: LatticeModel, k) -> LatticePoint:
+    point = _as_point(k, model.dimension)
+    if model.pmf.get(point, 0.0) <= 0.0:
+        raise UnsupportedMeasure(f"measure puts no mass at {point}")
+    return point
 
 
 def expect_cylindrical(model: LatticeModel, horizon: float,
@@ -329,72 +393,75 @@ def expect_cylindrical(model: LatticeModel, horizon: float,
     return grid.expect(F)
 
 
-def expect_with_count(model: LatticeModel, horizon: float,
-                      F: CylindricalFunctional, k,
-                      max_error: float = None) -> float:
-    """E[F * (number of mark-k jumps over the whole horizon)].
+def _count_weighted(grid: IncrementGrid, vals: np.ndarray,
+                    point: LatticePoint) -> float:
+    """E[F * (number of mark-`point` jumps over the horizon)] from F's base
+    grid values.
 
     Within each grid interval the pair (increment, expected k-count) comes
     from `count_weighted_pmf`; the stretch after the last coordinate time is
     independent of F and contributes (T - t_n) * nu(k) * E F.
     """
-    point = _as_point(k, model.dimension)
-    wk = model.pmf.get(point, 0.0)
-    if wk <= 0.0:
-        raise UnsupportedMeasure(f"measure puts no mass at {point}")
-    grid = IncrementGrid(model, horizon, F.times)
-    _check_truncation(grid, F, max_error)
-    vals = _apply_rows(F, grid.coords)
     shape = tuple(len(t.probs) for t in grid.tables)
     n = len(grid.times)
     count_factor = np.zeros(shape)
     for j, (table, dt) in enumerate(zip(grid.tables, grid.deltas)):
         keys, probs = table.arrays()
-        a_table, _ = count_weighted_pmf(model, dt, point)
+        a_table, _ = count_weighted_pmf(grid.model, dt, point)
         ratio = np.asarray(
             [a_table.get(tuple(key), 0.0) for key in keys.tolist()]) / probs
         bshape = (1,) * j + (len(probs),) + (1,) * (n - 1 - j)
         count_factor = count_factor + ratio.reshape(bshape)
-    count_factor = count_factor.reshape(-1)
-    main = float(np.dot(grid.weights, vals * count_factor))
-    tail_stretch = (grid.horizon - grid.times[-1]) * wk
-    return main + tail_stretch * float(np.dot(grid.weights, vals))
+    main = grid.expect_values(vals * count_factor)
+    tail_stretch = (grid.horizon - grid.times[-1]) * grid.model.pmf[point]
+    return main + tail_stretch * grid.expect_values(vals)
+
+
+def expect_with_count(model: LatticeModel, horizon: float,
+                      F: CylindricalFunctional, k,
+                      max_error: float = None) -> float:
+    """E[F * (number of mark-k jumps over the whole horizon)], by the
+    count-weighted increment tables (`_count_weighted`)."""
+    point = _mark_point(model, k)
+    grid = IncrementGrid(model, horizon, F.times)
+    _check_truncation(grid, F, max_error)
+    return _count_weighted(grid, grid.read(grid.values(F)), point)
 
 
 def qi_check(model: LatticeModel, horizon: float, F: CylindricalFunctional,
              k, max_error: float = None) -> Tuple[float, float]:
-    """Both exact pipelines of the shifted-law identity.
+    """Both exact pipelines of the shifted-law identity, on one grid and one
+    evaluation of F.
 
     lhs averages the argument-shifted expectations over the time grid (the
-    shift is invisible to F after its last coordinate); rhs is the
-    count-weighted expectation divided by T * nu(k).  The two must agree.
+    shift is invisible to F after its last coordinate); each is F's padded
+    values read with one index map moved.  rhs is the count-weighted
+    expectation of F's base values divided by T * nu(k), from the
+    count-weighted increment tables.  The two must agree.
     """
-    point = _as_point(k, model.dimension)
-    wk = model.pmf.get(point, 0.0)
-    if wk <= 0.0:
-        raise UnsupportedMeasure(f"measure puts no mass at {point}")
+    point = _mark_point(model, k)
     grid = IncrementGrid(model, horizon, F.times)
     _check_truncation(grid, F, max_error)
-    kvec = np.asarray(point, dtype=float)
-    base = grid.expect(F)
+    values = grid.values(F)
+    vals = grid.read(values)
+    base = grid.expect_values(vals)
     acc = 0.0
     for i in range(len(grid.times)):
-        acc += grid.deltas[i] * grid.expect(F, shift_from=i, shift_vec=kvec)
+        acc += grid.deltas[i] * grid.expect_values(grid.read(values, i, point))
     lhs = (acc + (grid.horizon - grid.times[-1]) * base) / grid.horizon
-    rhs = expect_with_count(model, horizon, F, point) / (grid.horizon * wk)
+    rhs = _count_weighted(grid, vals, point) / (grid.horizon * model.pmf[point])
     return float(lhs), float(rhs)
 
 
-def _energy_on_grid(grid: IncrementGrid, F: CylindricalFunctional) -> float:
-    base = _apply_rows(F, grid.coords)
+def _energy_on_grid(grid: IncrementGrid, values: np.ndarray) -> float:
+    """The quadratic form from F's padded values (`IncrementGrid.values`):
+    each (atom, coordinate) shift is an index move, not a new evaluation."""
+    base = grid.read(values)
     acc = 0.0
     for key, w in grid.model.pmf.items():
-        kvec = np.asarray(key, dtype=float)
         for i in range(len(grid.times)):
-            coords = grid.coords.copy()
-            coords[:, i:, :] += kvec
-            diff = _apply_rows(F, coords) - base
-            acc += w * grid.deltas[i] * float(np.dot(grid.weights, diff * diff))
+            diff = grid.read(values, i, key) - base
+            acc += w * grid.deltas[i] * grid.expect_values(np.square(diff, out=diff))
     return acc / grid.horizon
 
 
@@ -405,20 +472,21 @@ def exact_energy(model: LatticeModel, horizon: float,
     moves the same tail coordinates."""
     grid = IncrementGrid(model, horizon, F.times)
     _check_truncation(grid, F, max_error)
-    return _energy_on_grid(grid, F)
+    return _energy_on_grid(grid, grid.values(F))
 
 
 def poincare_check(model: LatticeModel, horizon: float,
                    F: CylindricalFunctional,
                    max_error: float = None) -> Tuple[float, float]:
     """(variance of F, T * energy of F), both exact, for the inequality
-    variance <= T * energy."""
+    variance <= T * energy; one evaluation of F serves both."""
     grid = IncrementGrid(model, horizon, F.times)
     _check_truncation(grid, F, max_error)
-    vals = _apply_rows(F, grid.coords)
+    values = grid.values(F)
+    vals = grid.read(values)
     mean = grid.expect_values(vals)
     variance = grid.expect_values(vals * vals) - mean * mean
-    return variance, horizon * _energy_on_grid(grid, F)
+    return variance, horizon * _energy_on_grid(grid, values)
 
 
 # -- semigroup variance identity -------------------------------------------------

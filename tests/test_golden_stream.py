@@ -50,3 +50,29 @@ def test_report_digest_pinned(suite, digest):
     report = run_suite(suite, cfg)
     assert report.overall_pass
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+# the exact_lattice benchmark config: 3 atoms, T=2, a 4-time corpus
+EXACT_LATTICE = {
+    "measure": {"type": "discrete", "dimension": 1,
+                "atoms": [[[-1.0], 0.3], [[1.0], 0.5], [[2.0], 0.2]]},
+    "T": 2.0, "samples": 2000, "seed": 20260809,
+    "params": {suite: {"corpus": [
+        {"family": "product_indicator", "times": [0.5, 1.0, 1.5, 2.0],
+         "values": [0.0, 0.0, 0.0, 0.0]},
+        {"family": "product_indicator", "times": [2.0 / 3.0, 4.0 / 3.0, 2.0],
+         "values": [1.0, 0.0, 1.0]},
+        {"family": "coordinate", "time": 2.0, "lo": -3.0, "hi": 3.0},
+        {"family": "indicator_at", "time": 1.0, "value": 1.0},
+    ]} for suite in ("poincare", "qi")},
+}
+
+
+@pytest.mark.parametrize("suite, digest", [
+    ("poincare", "ccae2d90313b8c9289734fa99e4a198ef37f564ddd4f1134bdec1afbde3515a9"),
+    ("qi", "8fae00f35e9b5266bb6670b5c696ea636b29b172e08b8f550a78a97ab8ee57d7"),
+])
+def test_exact_report_digest_pinned(suite, digest):
+    report = run_suite(suite, pf.config_from_dict(EXACT_LATTICE))
+    assert report.overall_pass
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

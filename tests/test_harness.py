@@ -244,6 +244,33 @@ def test_cli_failing_row_exit_code(tmp_path):
     assert cli.main(["qi", "--config", str(cfg)]) == 1
 
 
+def test_cli_domain_error_exit_code(tmp_path, capsys):
+    # a 5-time product indicator at T=5 needs a grid far over the budget
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({
+        "measure": {"type": "discrete", "dimension": 1,
+                    "atoms": [[[-1.0], 0.3], [[1.0], 0.5], [[2.0], 0.2]]},
+        "T": 5.0,
+        "params": {"poincare": {"corpus": [
+            {"family": "product_indicator", "times": [1, 2, 3, 4, 5],
+             "values": [0, 0, 0, 0, 0]}]}}}))
+    assert cli.main(["poincare", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: GridTooLarge: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_cli_sample_refuses_marks_without_a_finite_projection(tmp_path, capsys):
+    spec = tmp_path / "m.json"
+    spec.write_text('{"type": "discrete", "atoms": [[[-1.5e308], 0.5], [[1.0], 0.5]]}')
+    code = cli.main(["sample", "--measure", str(spec), "--n", "20", "--seed", "3",
+                     "--project", "-1023"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "Infinity" not in out
+    assert err.startswith("error: UnsupportedMeasure: ")
+
+
 def test_cli_measure_file(tmp_path, capsys):
     spec = tmp_path / "m.json"
     spec.write_text('{"type": "discrete", "atoms": [[[2.0], 1.0]]}')

@@ -11,6 +11,7 @@ from pathform.errors import (
     ConfigError,
     DimensionMismatch,
     NonProbability,
+    UnsupportedMeasure,
     UnsupportedVariant,
 )
 
@@ -172,6 +173,19 @@ def test_project_mark_keeps_marks_whose_scaled_value_overflows():
         out = pf.project_mark(x, 1023)
     assert out[:5].tolist() == [1e300, -1e300, 2.0, -2.5, 0.3]
     assert np.isposinf(out[5]) and np.isneginf(out[6])
+
+
+def test_project_mark_refuses_a_projection_past_the_largest_float():
+    # floor(-1.7e308 * 2**-1023) * 2**1023 = -2**1024, which no float holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedMeasure, match=r"-1\.7e\+308.*level -1023"):
+            pf.project_mark(-1.7e308, -1023)
+        with pytest.raises(UnsupportedMeasure):
+            pf.project_mark(np.array([[1.0, -1.7e308]]), -1023)
+        assert pf.project_mark(1.7e308, -1023).tolist() == [2.0**1023]
+        assert pf.project_mark(-1.7e308, -1000).tolist() == [
+            math.floor(-1.7e308 * 2.0**-1000) * 2.0**1000]
 
 
 def test_project_mark_unchanged_below_overflow():

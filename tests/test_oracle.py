@@ -175,6 +175,145 @@ def test_increment_grid_refuses_a_grid_over_budget():
     assert grid.weights.nbytes + grid.coords.nbytes < pf.oracle.GRID_BUDGET_BYTES
 
 
+# -- shifts as index moves on the padded grid -----------------------------------
+
+def _reference_coords(grid):
+    """The base grid's running-sum coordinates, in `weights`' order."""
+    keys = [t.arrays()[0] for t in grid.tables]
+    n, d = len(keys), grid.model.dimension
+    shape = tuple(len(k) for k in keys)
+    coords = np.zeros(shape + (n, d))
+    running = np.zeros((1,) * n + (d,))
+    for j, k in enumerate(keys):
+        bshape = (1,) * j + (len(k),) + (1,) * (n - 1 - j) + (d,)
+        running = running + k.astype(float).reshape(bshape)
+        coords[..., j, :] = running
+    return coords.reshape(-1, n, d)
+
+
+def _reference_values(grid, F, i=None, k=None):
+    """F at the base coordinates, copied and shifted by k from position i on,
+    evaluated afresh: the route the padded grid replaces."""
+    coords = _reference_coords(grid)
+    if i is not None:
+        coords = coords.copy()
+        coords[:, i:, :] += np.asarray(k, dtype=float)
+    return pf.functional._apply_rows(F, coords)
+
+
+def _reference_energy(grid, F):
+    base = _reference_values(grid, F)
+    acc = 0.0
+    for key, w in grid.model.pmf.items():
+        for i in range(len(grid.times)):
+            diff = _reference_values(grid, F, i, key) - base
+            acc += w * grid.deltas[i] * float(np.dot(grid.weights, diff * diff))
+    return acc / grid.horizon
+
+
+def _reference_with_count(grid, F, k):
+    n = len(grid.times)
+    count_factor = np.zeros(tuple(len(t.probs) for t in grid.tables))
+    for j, (table, dt) in enumerate(zip(grid.tables, grid.deltas)):
+        keys, probs = table.arrays()
+        a_table, _ = pf.count_weighted_pmf(grid.model, dt, k)
+        ratio = np.asarray([a_table.get(tuple(x), 0.0) for x in keys.tolist()]) / probs
+        count_factor = count_factor + ratio.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
+    vals = _reference_values(grid, F)
+    main = float(np.dot(grid.weights, vals * count_factor.reshape(-1)))
+    tail = (grid.horizon - grid.times[-1]) * grid.model.pmf[k]
+    return main + tail * float(np.dot(grid.weights, vals))
+
+
+def _unbatched(F):
+    return CylindricalFunctional(times=F.times, f=F.f, bound=F.bound,
+                                 name=F.name + "_rows")
+
+
+def _d1_functionals(T):
+    corpus = {F.name: F for F in pf.harness.lattice_corpus(T)}
+    return [corpus["monotone3"], corpus["flat_tail"], _unbatched(corpus["flat_tail"])]
+
+
+def _d2_functionals(T):
+    cross = CylindricalFunctional(
+        times=(T / 2, T), f=lambda a, b: 1.0 if (a[0] == 0 and b[1] == 0) else 0.0,
+        batch=lambda c: ((c[:, 0, 0] == 0) & (c[:, 1, 1] == 0)).astype(float),
+        bound=1.0, name="cross")
+    ordered = CylindricalFunctional(
+        times=(T / 4, T / 2, T),
+        f=lambda a, b, c: 1.0 if a[0] <= b[0] <= c[1] else 0.0,
+        batch=lambda c: ((c[:, 0, 0] <= c[:, 1, 0]) & (c[:, 1, 0] <= c[:, 2, 1])).astype(float),
+        bound=1.0, name="ordered")
+    return [cross, _unbatched(cross), ordered]
+
+
+SHIFT_CASES = [
+    # the exact_lattice atoms: gap-free d = 1 supports, every map is a slice
+    pytest.param({-1: 0.3, 1: 0.5, 2: 0.2}, 1e-12, 2.0, _d1_functionals(2.0), True,
+                 id="exact_lattice"),
+    # a gapped support: the maps are position arrays
+    pytest.param({2: 0.6, -3: 0.4}, 1e-12, 1.0, _d1_functionals(1.0), False,
+                 id="gapped"),
+    # d = 2, at a looser truncation to keep the grids small
+    pytest.param({(1, 0): 0.4, (0, 1): 0.3, (-1, 0): 0.2, (0, -1): 0.1}, 1e-6, 0.5,
+                 _d2_functionals(0.5), False, id="d2"),
+]
+
+
+@pytest.mark.parametrize("pmf, tol, T, functionals, all_slices", SHIFT_CASES)
+def test_shift_by_index_bit_equal_to_shifted_copies(pmf, tol, T, functionals,
+                                                    all_slices):
+    model = pf.LatticeModel(pmf, tol)
+    for F in functionals:
+        grid = pf.IncrementGrid(model, T, F.times)
+        maps = grid.pos + [ix for per in grid.shifted for ix in per.values()]
+        assert all(isinstance(ix, slice) for ix in maps) == all_slices
+        # every interval's padded support reaches past the table's keys
+        assert all(len(t.probs) < s for t, s in zip(grid.tables, grid.shape))
+        assert grid.expect(F) == float(np.dot(grid.weights, _reference_values(grid, F)))
+        for k in model.pmf:
+            for i in range(len(F.times) + 1):
+                want = float(np.dot(grid.weights, _reference_values(grid, F, i, k)))
+                assert grid.expect(F, i, k) == want
+        assert pf.exact_energy(model, T, F) == _reference_energy(grid, F)
+        vals = _reference_values(grid, F)
+        mean = float(np.dot(grid.weights, vals))
+        variance = float(np.dot(grid.weights, vals * vals)) - mean * mean
+        assert pf.poincare_check(model, T, F) == (
+            variance, T * _reference_energy(grid, F))
+        for k in model.pmf:
+            with_count = _reference_with_count(grid, F, k)
+            assert pf.expect_with_count(model, T, F, k) == with_count
+            acc = 0.0
+            for i in range(len(F.times)):
+                acc += grid.deltas[i] * float(
+                    np.dot(grid.weights, _reference_values(grid, F, i, k)))
+            lhs = (acc + (T - F.times[-1]) * mean) / T
+            assert pf.qi_check(model, T, F, k) == (lhs, with_count / (T * model.pmf[k]))
+
+
+def test_grid_shift_must_be_an_atom(pm1_model):
+    F = pf.indicator_at(1.0, 0.0)
+    grid = pf.IncrementGrid(pm1_model, 1.0, F.times)
+    with pytest.raises(UnsupportedMeasure, match="not an atom"):
+        grid.expect(F, 0, 2)
+    with pytest.raises(pf.errors.TimeOutOfRange):
+        grid.expect(F, 2, 1)
+
+
+def test_grid_budget_counts_padded_coordinates_values_and_weights(monkeypatch):
+    model = pf.LatticeModel({-1: 0.3, 1: 0.5, 2: 0.2})
+    F = pf.product_indicator((0.5, 1.0), (0, 0))
+    grid = pf.IncrementGrid(model, 1.0, F.times)
+    need = grid.coords.nbytes + grid.values(F).nbytes + grid.weights.nbytes
+    monkeypatch.setattr(pf.oracle, "GRID_BUDGET_BYTES", need)
+    pf.IncrementGrid(model, 1.0, F.times)
+    monkeypatch.setattr(pf.oracle, "GRID_BUDGET_BYTES", need - 1)
+    with pytest.raises(GridTooLarge):
+        pf.IncrementGrid(model, 1.0, F.times)
+
+
 def test_expect_truncation_guard(pm1_model):
     F = pf.indicator_at(1.0, 0.0)
     with pytest.raises(TruncationTooCoarse):

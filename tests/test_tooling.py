@@ -21,11 +21,16 @@ def test_demo_runs(demo, capsys):
     assert capsys.readouterr().out
 
 
-def test_tracer_installs_and_uninstalls():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_installs_and_uninstalls():
+    tracer = _load_tracer()
     originals = (sampler.sample_path_batch, functional._run_chunked,
                  pf.IntensityMeasure.validate)
     cfg = pf.default_config(params={"sample": {"n_paths": 5, "project": 2}})
@@ -49,3 +54,26 @@ def test_tracer_installs_and_uninstalls():
     assert "path.init" not in {span[2] for span in t.requests[1]}
     assert (sampler.sample_path_batch, functional._run_chunked,
             pf.IntensityMeasure.validate) == originals
+
+
+def test_exact_checks_evaluate_each_functional_once_per_grid():
+    tracer = _load_tracer()
+    model = pf.LatticeModel({-1: 0.3, 1: 0.5, 2: 0.2})
+    corpus = [pf.product_indicator((0.5, 1.0, 1.5), (0, 0, 1)),
+              pf.coordinate(1.5, lo=-3.0, hi=3.0), pf.indicator_at(1.0, 1.0)]
+
+    def poincare_and_qi():
+        for F in corpus:
+            pf.poincare_check(model, 1.5, F)
+            for k in model.pmf:
+                pf.qi_check(model, 1.5, F, k)
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.request(poincare_and_qi)
+    finally:
+        t.uninstall()
+    names = [span[2] for span in t.requests[0]]
+    assert names.count("oracle.grid_build") == len(corpus) * (1 + len(model.pmf))
+    assert names.count("functional.apply_rows") == names.count("oracle.grid_build")
