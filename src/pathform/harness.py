@@ -165,6 +165,16 @@ def _canonical_measure_spec(spec, problems: list) -> dict:
     return out
 
 
+def _positive_finite(val) -> bool:
+    """A JSON number (not a bool) in (0, inf) as a float; NaN fails."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return 0 < float(val) < math.inf
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def config_from_dict(obj: dict) -> RunConfig:
     """Validate and canonicalize; collects every invalid field before raising."""
     problems: List[Tuple[str, str]] = []
@@ -183,8 +193,8 @@ def config_from_dict(obj: dict) -> RunConfig:
         problems.extend(exc.fields)
 
     T = obj.get("T", 1.0)
-    if not isinstance(T, (int, float)) or isinstance(T, bool) or not T > 0:
-        problems.append(("T", f"must be a positive number, got {T!r}"))
+    if not _positive_finite(T):
+        problems.append(("T", f"must be a finite positive number, got {T!r}"))
     seed = obj.get("seed", 20260809)
     if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append(("seed", "must be an integer"))
@@ -196,8 +206,9 @@ def config_from_dict(obj: dict) -> RunConfig:
     for key, val in (obj.get("tolerances") or {}).items():
         if key not in DEFAULT_TOLERANCES:
             problems.append((f"tolerances.{key}", "unknown tolerance"))
-        elif not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-            problems.append((f"tolerances.{key}", "must be a positive number"))
+        elif not _positive_finite(val):
+            problems.append((f"tolerances.{key}",
+                             f"must be a finite positive number, got {val!r}"))
         else:
             tolerances[key] = float(val)
 

@@ -6,11 +6,17 @@ Everything here reduces to the jump-count expansion of the transition law,
 
 truncated at the smallest M whose Poisson tail is below the model tolerance.
 The discarded mass is carried along as a certified error bound, never
-silently dropped.  On top of the transition tables sit chained-increment
-expectations for cylindrical functionals, count-weighted expectations for
-the shifted-law density identity, both sides of the variance/energy
-inequality, the semigroup variance identity, short-time diagnostics, and
-the count-variable calculus used to break the entropy inequality.
+silently dropped.  One engine builds the convolution powers: dense arrays on
+the integer box that holds the first M of them (`LatticeModel._dense_basis`,
+one step `nu * a` at a time).  The transition tables and the semigroup
+kernel are Poisson-weighted sums of those powers, and the count-weighted
+tables propagate pairs with the same step; a box over the memory budget
+raises `GridTooLarge` before it is allocated.  On top of the transition
+tables sit chained-increment expectations for cylindrical functionals,
+count-weighted expectations for the shifted-law density identity, both sides
+of the variance/energy inequality, the semigroup variance identity,
+short-time diagnostics, and the count-variable calculus used to break the
+entropy inequality.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from .intensity import IntensityMeasure
 
 LatticePoint = Tuple[int, ...]
 
-# Largest IncrementGrid (weights plus coordinates, in bytes) the oracle builds.
+# Largest IncrementGrid (padded coordinates, values and weights) or stack of
+# convolution powers, in bytes, the oracle builds.
 GRID_BUDGET_BYTES = 512 * 2**20
 # Bytes of P_{t-s} f over one block of quadrature nodes in semigroup_gap;
 # blocks keep memory bounded for long t or d > 1.
@@ -72,8 +79,11 @@ def _as_point(x, dimension: int) -> LatticePoint:
 
 def poisson_truncation(s: float, eps: float) -> Tuple[int, float]:
     """Smallest M with P(Poisson(s) > M) <= eps, and that tail."""
-    if s < 0:
-        raise TimeOutOfRange(f"elapsed time must be >= 0, got {s}")
+    # comparisons written so that NaN fails them
+    if not 0 <= s < math.inf:
+        raise TimeOutOfRange(f"elapsed time must be finite and >= 0, got {s}")
+    if not eps > 0:
+        raise TruncationTooCoarse(f"tolerance must be positive, got {eps!r}")
     if s == 0:
         return 0, 0.0
     m = int(s)  # a starting guess; the two loops below find the exact M
@@ -84,36 +94,34 @@ def poisson_truncation(s: float, eps: float) -> Tuple[int, float]:
     return m, float(poisson.sf(m, s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PmfTable:
-    """Sparse lattice pmf plus the certified mass left out of it."""
+    """Lattice pmf on its points of positive mass, plus the certified mass
+    left out of it: `keys` (S, d) int64 in lexicographic order, `probs` (S,)."""
 
     dimension: int
-    probs: Dict[LatticePoint, float]
+    keys: np.ndarray
+    probs: np.ndarray
     tail_mass: float
 
     def get(self, point) -> float:
-        return self.probs.get(_as_point(point, self.dimension), 0.0)
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys (S, d) int64, probs (S,)) in sorted key order."""
-        items = sorted(self.probs.items())
-        keys = np.asarray([k for k, _ in items], dtype=np.int64).reshape(len(items), self.dimension)
-        vals = np.asarray([v for _, v in items], dtype=float)
-        return keys, vals
+        hit = np.flatnonzero((self.keys == _as_point(point, self.dimension)).all(axis=1))
+        return float(self.probs[hit[0]]) if len(hit) else 0.0
 
 
 class LatticeModel:
-    """Finite-support jump measure on Z^d with convolution-power caches.
+    """Finite-support jump measure on Z^d with a convolution-power engine.
 
-    The caches (plain dicts, append-only) make repeated transition-table
-    requests cheap; each public computation stays a pure function of its
-    arguments.
+    Convolution powers of the jump pmf live as dense arrays on the integer
+    box that holds the first m of them (`_dense_basis`); transition tables
+    are cached per elapsed time.  The caches only grow, and each public
+    computation stays a pure function of its arguments.
     """
 
     def __init__(self, pmf: Dict, truncation_tolerance: float = 1e-12):
-        if truncation_tolerance <= 0:
-            raise TruncationTooCoarse("tolerance must be positive")
+        if not truncation_tolerance > 0:
+            raise TruncationTooCoarse(
+                f"tolerance must be positive, got {truncation_tolerance!r}")
         items = list(pmf.items())
         if not items:
             raise NonProbability("empty support")
@@ -121,7 +129,7 @@ class LatticeModel:
         norm: Dict[LatticePoint, float] = {}
         for key, mass in items:
             point = _as_point(key, dim)
-            if float(mass) <= 0:
+            if not float(mass) > 0:
                 raise NonProbability(f"mass at {point} must be positive")
             if all(c == 0 for c in point):
                 raise AtomAtOrigin("lattice measure charges the origin")
@@ -129,13 +137,11 @@ class LatticeModel:
                 raise NonProbability(f"duplicate atom {point}")
             norm[point] = float(mass)
         total = math.fsum(norm.values())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise NonProbability(f"masses sum to {total!r}, not 1")
         self.dimension = dim
         self.pmf: Dict[LatticePoint, float] = dict(sorted(norm.items()))
         self.truncation_tolerance = float(truncation_tolerance)
-        origin = tuple([0] * dim)
-        self._powers: List[Dict[LatticePoint, float]] = [{origin: 1.0}]
         self._pmf_cache: Dict[float, PmfTable] = {}
         self._dense_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -156,17 +162,16 @@ class LatticeModel:
     def mass(self, point) -> float:
         return self.pmf.get(_as_point(point, self.dimension), 0.0)
 
-    def _power(self, m: int) -> Dict[LatticePoint, float]:
-        """m-fold self-convolution of the jump pmf."""
-        while len(self._powers) <= m:
-            prev = self._powers[-1]
-            nxt: Dict[LatticePoint, float] = {}
-            for key, q in prev.items():
-                for x, w in self.pmf.items():
-                    tgt = tuple(a + b for a, b in zip(key, x))
-                    nxt[tgt] = nxt.get(tgt, 0.0) + q * w
-            self._powers.append(nxt)
-        return self._powers[m]
+    def _power(self, a: np.ndarray) -> np.ndarray:
+        """One convolution step, nu * a, on a's box (mass pushed past its edge
+        is dropped, so the box must hold the result).  Atoms are folded in
+        descending order: each point then sums its terms source by source in
+        ascending lattice order."""
+        out = np.zeros_like(a)
+        for x, w in reversed(self.pmf.items()):
+            dst, src = _shift_slices(a.shape, x)
+            out[dst] += w * a[src]
+        return out
 
     def _dense_basis(self, m_top: int) -> Tuple[np.ndarray, np.ndarray]:
         """Convolution powers 0..m_top embedded in one dense integer box;
@@ -174,16 +179,20 @@ class LatticeModel:
         cached = self._dense_cache.get(m_top)
         if cached is not None:
             return cached
-        supp = np.asarray(sorted(self.pmf.keys()), dtype=np.int64)
+        supp = np.asarray(list(self.pmf), dtype=np.int64)
         lo = np.minimum(supp.min(axis=0), 0) * m_top
         hi = np.maximum(supp.max(axis=0), 0) * m_top
         shape = tuple((hi - lo + 1).tolist())
+        nbytes = (m_top + 1) * math.prod(shape) * 8
+        if nbytes > GRID_BUDGET_BYTES:
+            raise GridTooLarge(
+                f"convolution powers 0..{m_top} on the box {shape} need "
+                f"{nbytes / 2**20:.1f} MiB, over the "
+                f"{GRID_BUDGET_BYTES / 2**20:.0f} MiB budget")
         mat = np.zeros((m_top + 1,) + shape)
         mat[(0,) + tuple((-lo).tolist())] = 1.0
         for m in range(1, m_top + 1):
-            for x, w in self.pmf.items():
-                dst, src = _shift_slices(shape, x)
-                mat[m][dst] += w * mat[m - 1][src]
+            mat[m] = self._power(mat[m - 1])
         self._dense_cache[m_top] = (lo, mat)
         return lo, mat
 
@@ -211,47 +220,46 @@ def transition_pmf(model: LatticeModel, s: float) -> PmfTable:
         return cached
     m_top, tail = poisson_truncation(s, model.truncation_tolerance)
     weights = poisson.pmf(np.arange(m_top + 1), s)
-    table: Dict[LatticePoint, float] = {}
+    lo, basis = model._dense_basis(m_top)
+    # a fixed loop over m: a BLAS product would change the summation order
+    dense = np.zeros(basis.shape[1:])
     for m in range(m_top + 1):
-        w = float(weights[m])
-        if w == 0.0:
-            continue
-        for key, q in model._power(m).items():
-            table[key] = table.get(key, 0.0) + w * q
-    out = PmfTable(model.dimension, dict(sorted(table.items())), tail)
+        if weights[m] != 0.0:
+            dense += weights[m] * basis[m]
+    hit = dense > 0
+    keys = np.argwhere(hit) + lo  # C order: lexicographic in the points
+    probs = dense[hit]
+    keys.setflags(write=False)
+    probs.setflags(write=False)
+    out = PmfTable(model.dimension, keys, probs, tail)
     model._pmf_cache[s] = out
     return out
 
 
-def count_weighted_pmf(model: LatticeModel, s: float, k) -> Tuple[Dict, float]:
+def count_weighted_pmf(model: LatticeModel, s: float, k) -> Tuple[np.ndarray, float]:
     """Joint first-moment table A(v) = E[#(mark-k jumps) ; increment = v]
     over one interval of length s, built by pair propagation: with each
     extra jump the count either carries over or bumps by one when the new
-    jump's mark is exactly k.  Returns (table, certified count-mass tail)."""
+    jump's mark is exactly k.  Returns (A at `transition_pmf(model, s).keys`,
+    certified count-mass tail)."""
     point = _as_point(k, model.dimension)
     wk = model.pmf.get(point, 0.0)
     s = float(s)
+    table = transition_pmf(model, s)
     m_top, _ = poisson_truncation(s, model.truncation_tolerance)
     weights = poisson.pmf(np.arange(m_top + 1), s)
-    acc: Dict[LatticePoint, float] = {}
-    prev: Dict[LatticePoint, float] = {}
+    lo, basis = model._dense_basis(m_top)
+    dst, src = _shift_slices(basis.shape[1:], point)
+    acc = np.zeros(basis.shape[1:])
+    cur = np.zeros_like(acc)
     for m in range(1, m_top + 1):
-        cur: Dict[LatticePoint, float] = {}
-        for key, q in prev.items():
-            for x, w in model.pmf.items():
-                tgt = tuple(a + b for a, b in zip(key, x))
-                cur[tgt] = cur.get(tgt, 0.0) + q * w
+        cur = model._power(cur)
         if wk > 0.0:
-            for key, q in model._power(m - 1).items():
-                tgt = tuple(a + b for a, b in zip(key, point))
-                cur[tgt] = cur.get(tgt, 0.0) + q * wk
-        w = float(weights[m])
-        if w > 0.0:
-            for key, v in cur.items():
-                acc[key] = acc.get(key, 0.0) + w * v
-        prev = cur
+            cur[dst] += wk * basis[m - 1][src]
+        if weights[m] > 0.0:
+            acc += weights[m] * cur
     tail = s * float(poisson.sf(max(m_top - 1, 0), s))
-    return dict(sorted(acc.items())), tail
+    return acc[tuple((table.keys - lo).T)], tail
 
 
 # -- chained-increment expectations ---------------------------------------------
@@ -283,16 +291,20 @@ class IncrementGrid:
     def __init__(self, model: LatticeModel, horizon: float,
                  times: Sequence[float]):
         times = tuple(float(t) for t in times)
-        if not times or times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise UnsortedTimes("times must be strictly increasing and > 0")
-        if times[-1] > horizon:
-            raise TimeOutOfRange(f"last time {times[-1]} beyond horizon {horizon}")
+        # comparisons written so that NaN fails them
+        if (not times or not times[0] > 0
+                or not all(b > a for a, b in zip(times, times[1:]))):
+            raise UnsortedTimes(f"times must be strictly increasing and > 0, got {times}")
+        if not times[-1] <= horizon < math.inf:
+            raise TimeOutOfRange(
+                f"last time {times[-1]} must not pass the finite horizon {horizon}")
         self.model = model
         self.horizon = float(horizon)
         self.times = times
         self.deltas = np.diff(np.concatenate([[0.0], np.asarray(times)]))
         self.tables = [transition_pmf(model, dt) for dt in self.deltas]
-        keys, probs = zip(*(t.arrays() for t in self.tables))
+        keys = [t.keys for t in self.tables]
+        probs = [t.probs for t in self.tables]
         n, d = len(times), model.dimension
         moves = np.asarray([(0,) * d] + list(model.pmf), dtype=np.int64)
         supports, self.pos, self.shifted = [], [], []
@@ -406,12 +418,9 @@ def _count_weighted(grid: IncrementGrid, vals: np.ndarray,
     n = len(grid.times)
     count_factor = np.zeros(shape)
     for j, (table, dt) in enumerate(zip(grid.tables, grid.deltas)):
-        keys, probs = table.arrays()
-        a_table, _ = count_weighted_pmf(grid.model, dt, point)
-        ratio = np.asarray(
-            [a_table.get(tuple(key), 0.0) for key in keys.tolist()]) / probs
-        bshape = (1,) * j + (len(probs),) + (1,) * (n - 1 - j)
-        count_factor = count_factor + ratio.reshape(bshape)
+        a, _ = count_weighted_pmf(grid.model, dt, point)
+        bshape = (1,) * j + (len(a),) + (1,) * (n - 1 - j)
+        count_factor = count_factor + (a / table.probs).reshape(bshape)
     main = grid.expect_values(vals * count_factor)
     tail_stretch = (grid.horizon - grid.times[-1]) * grid.model.pmf[point]
     return main + tail_stretch * grid.expect_values(vals)
@@ -521,8 +530,10 @@ def semigroup_gap(model: LatticeModel, f: Callable[[np.ndarray], np.ndarray],
     elementwise.
     """
     t = float(t)
-    if t <= 0:
-        raise TimeOutOfRange("t must be positive")
+    if not 0 < t < math.inf:
+        raise TimeOutOfRange(f"t must be finite and positive, got {t}")
+    if not quad_step > 0:
+        raise UnsortedTimes(f"quad_step must be positive, got {quad_step}")
     steps = round(t / quad_step)
     if steps < 2 or steps % 2 or abs(steps * quad_step - t) > 1e-9 * t:
         raise UnsortedTimes(
@@ -604,10 +615,10 @@ def small_time_table(model: LatticeModel, points: Sequence,
         devs = {}
         for raw in points:
             point = _as_point(raw, model.dimension)
-            devs[point] = table.probs.get(point, 0.0) / s - model.pmf.get(point, 0.0)
+            devs[point] = table.get(point) / s - model.pmf.get(point, 0.0)
         rows.append(SmallTimeRow(
             s=s,
-            origin_ratio=(1.0 - table.probs.get(origin, 0.0)) / s,
+            origin_ratio=(1.0 - table.get(origin)) / s,
             deviations=devs))
     return rows
 

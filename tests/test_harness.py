@@ -51,6 +51,21 @@ def test_origin_atom_rejected():
     assert any("AtomAtOrigin" in msg for _, msg in err.value.fields)
 
 
+@pytest.mark.parametrize("field, text", [
+    ("T", '{"T": Infinity}'), ("T", '{"T": NaN}'), ("T", '{"T": -Infinity}'),
+    ("T", '{"T": 1e400}'), ("T", '{"T": %d}' % 10**400),
+    ("tolerances.poincare", '{"tolerances": {"poincare": NaN}}'),
+    ("tolerances.sigma", '{"tolerances": {"sigma": Infinity}}'),
+])
+def test_non_finite_numbers_rejected(tmp_path, field, text):
+    with pytest.raises(ConfigError) as err:
+        pf.parse_config(text)
+    assert [path for path, _ in err.value.fields] == [field]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert cli.main(["poincare", "--config", str(cfg)]) == 2
+
+
 def test_all_problems_collected():
     with pytest.raises(ConfigError) as err:
         pf.parse_config('{"T": 0, "samples": 1, "seed": "x", "bogus": 1}')

@@ -52,7 +52,7 @@ def test_discretize_in_two_dimensions():
 
 def test_transition_pmf_normalized_d2(model2):
     t = pf.transition_pmf(model2, 0.8)
-    assert abs(sum(t.probs.values()) + t.tail_mass - 1.0) <= 1e-10
+    assert abs(sum(t.probs.tolist()) + t.tail_mass - 1.0) <= 1e-10
     assert t.get((0, 0)) > 0.4  # no-jump weight e^-0.8 plus returns
 
 

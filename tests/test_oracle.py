@@ -12,6 +12,7 @@ from pathform.errors import (
     AtomAtOrigin,
     GridTooLarge,
     NonProbability,
+    TimeOutOfRange,
     TruncationTooCoarse,
     UnsortedTimes,
     UnsupportedMeasure,
@@ -92,11 +93,44 @@ def test_poisson_truncation_matches_isf_seeded_search():
             assert pf.poisson_truncation(s, eps) == isf_seeded(s, eps)
 
 
+
+def test_nan_and_infinite_times_are_typed_errors(pm1_model):
+    for s in (math.nan, math.inf, -1.0):
+        with pytest.raises(TimeOutOfRange):
+            pf.poisson_truncation(s, 1e-12)
+    for eps in (math.nan, 0.0):
+        with pytest.raises(TruncationTooCoarse):
+            pf.poisson_truncation(1.0, eps)
+    F = pf.indicator_at(1.0, 0.0)
+    with pytest.raises(UnsortedTimes):
+        pf.qi_check(pm1_model, 1.0, pf.indicator_at(math.nan, 0.0), 1)
+    with pytest.raises(UnsortedTimes):
+        pf.IncrementGrid(pm1_model, 1.0, (0.5, math.nan))
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(TimeOutOfRange):
+            pf.IncrementGrid(pm1_model, horizon, (0.5,))
+        with pytest.raises(TimeOutOfRange):
+            pf.qi_check(pm1_model, horizon, F, 1)
+    with pytest.raises(TimeOutOfRange):
+        pf.IncrementGrid(pm1_model, math.inf, (math.inf,))
+    for t in (math.nan, math.inf):
+        with pytest.raises(TimeOutOfRange):
+            pf.semigroup_gap(pm1_model, lambda p: np.ones(np.shape(p)), t)
+    with pytest.raises(UnsortedTimes):
+        pf.semigroup_gap(pm1_model, lambda p: np.ones(np.shape(p)), 1.0, 0, math.nan)
+
+
+def test_model_rejects_nan_tolerance_and_mass():
+    with pytest.raises(TruncationTooCoarse):
+        pf.LatticeModel({1: 0.5, -1: 0.5}, math.nan)
+    with pytest.raises(NonProbability):
+        pf.LatticeModel({1: math.nan, -1: 0.5})
+
 # -- transition tables -------------------------------------------------------------
 
 def test_transition_pmf_at_zero(pm1_model):
     t = pf.transition_pmf(pm1_model, 0.0)
-    assert t.probs == {(0,): 1.0}
+    assert t.keys.tolist() == [[0]] and t.probs.tolist() == [1.0]
     assert t.tail_mass == 0.0
 
 
@@ -110,7 +144,7 @@ def test_transition_pmf_against_bessel(pm1_model):
 def test_transition_pmf_normalized(pm1_model):
     for s in (0.1, 1.0, 3.0):
         t = pf.transition_pmf(pm1_model, s)
-        assert abs(sum(t.probs.values()) + t.tail_mass - 1.0) <= 1e-10
+        assert abs(sum(t.probs.tolist()) + t.tail_mass - 1.0) <= 1e-10
 
 
 def test_transition_pmf_matches_simulation(pm1, pm1_model):
@@ -131,9 +165,58 @@ def test_chapman_kolmogorov(pm1_model):
         b = pf.transition_pmf(pm1_model, r)
         c = pf.transition_pmf(pm1_model, s + r)
         for l in (0, 1, -1, 2):
-            conv = sum(pa * b.get(l - u[0]) for u, pa in a.probs.items())
+            conv = sum(pa * b.get(l - u[0]) for u, pa in zip(a.keys.tolist(), a.probs))
             assert abs(conv - c.get(l)) <= 2 * eps + 1e-13
 
+
+
+ARRAY_MODELS = (
+    pf.LatticeModel({-2: 0.1, 1: 0.6, 3: 0.3}),
+    pf.LatticeModel({(1, 0): 0.4, (0, 1): 0.3, (-1, 0): 0.2, (0, -1): 0.1}, 1e-9),
+)
+
+
+@given(model=st.sampled_from(ARRAY_MODELS),
+       s=st.floats(min_value=0.0, max_value=2.0),
+       pick=st.integers(min_value=0, max_value=3))
+def test_transition_table_arrays(model, s, pick):
+    # keys: the points of positive mass, strictly lexicographic; the
+    # count-weighted values line up with them, one per key, as the Mecke
+    # identity A(v) = s nu(k) p_s(v - k) confirms point by point
+    t = pf.transition_pmf(model, s)
+    d = model.dimension
+    assert t.keys.shape == (len(t.probs), d) and t.keys.dtype == np.int64
+    rows = list(map(tuple, t.keys.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert np.all(t.probs > 0)
+    assert not t.keys.flags.writeable and not t.probs.flags.writeable
+    k = sorted(model.pmf)[pick % len(model.pmf)]
+    values, tail = pf.count_weighted_pmf(model, s, k)
+    assert values.shape == t.probs.shape
+    scale = s * model.pmf[k]
+    tol = tail + scale * t.tail_mass + 1e-14
+    for v, a in zip(rows, values):
+        assert abs(a - scale * t.get(tuple(x - y for x, y in zip(v, k)))) <= tol
+
+
+def test_convolution_powers_refuse_a_box_over_budget():
+    # unit jumps in d = 3 at s = 20: powers 0..59 on a 119^3 box, 771 MiB
+    units = {}
+    for axis in range(3):
+        for sign in (1, -1):
+            units[tuple(sign if i == axis else 0 for i in range(3))] = 1 / 6
+    model = pf.LatticeModel(units)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match=r"box \(119, 119, 119\).*512 MiB"):
+            pf.transition_pmf(model, 20.0)
+        with pytest.raises(GridTooLarge):
+            pf.count_weighted_pmf(model, 20.0, (1, 0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert pf.transition_pmf(model, 1.0).tail_mass <= 1e-12
 
 # -- chained expectations -------------------------------------------------------------
 
@@ -179,7 +262,7 @@ def test_increment_grid_refuses_a_grid_over_budget():
 
 def _reference_coords(grid):
     """The base grid's running-sum coordinates, in `weights`' order."""
-    keys = [t.arrays()[0] for t in grid.tables]
+    keys = [t.keys for t in grid.tables]
     n, d = len(keys), grid.model.dimension
     shape = tuple(len(k) for k in keys)
     coords = np.zeros(shape + (n, d))
@@ -215,9 +298,8 @@ def _reference_with_count(grid, F, k):
     n = len(grid.times)
     count_factor = np.zeros(tuple(len(t.probs) for t in grid.tables))
     for j, (table, dt) in enumerate(zip(grid.tables, grid.deltas)):
-        keys, probs = table.arrays()
-        a_table, _ = pf.count_weighted_pmf(grid.model, dt, k)
-        ratio = np.asarray([a_table.get(tuple(x), 0.0) for x in keys.tolist()]) / probs
+        a, _ = pf.count_weighted_pmf(grid.model, dt, k)
+        ratio = a / table.probs
         count_factor = count_factor + ratio.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
     vals = _reference_values(grid, F)
     main = float(np.dot(grid.weights, vals * count_factor.reshape(-1)))
@@ -326,9 +408,9 @@ def test_count_weighted_pmf_mecke_identity(pm1_model):
     # the marked expansion must reproduce s nu(k) p_s(. - k)
     for s in (0.4, 1.0):
         for k in (1, -1):
-            table, _ = pf.count_weighted_pmf(pm1_model, s, k)
+            values, _ = pf.count_weighted_pmf(pm1_model, s, k)
             p = pf.transition_pmf(pm1_model, s)
-            for point, val in table.items():
+            for point, val in zip(p.keys.tolist(), values):
                 ref = s * pm1_model.mass(k) * p.get(point[0] - k)
                 assert abs(val - ref) <= 1e-12
 
@@ -348,11 +430,12 @@ def test_count_weighted_pmf_mecke_property(model, s, pick):
     # side drops at most its certified tail at any point; the identity holds
     # to ~1e-13 here, well inside the tails' sum
     k = sorted(model.pmf)[pick % len(model.pmf)]
-    table, tail = pf.count_weighted_pmf(model, s, k)
+    values, tail = pf.count_weighted_pmf(model, s, k)
     p = pf.transition_pmf(model, s)
     scale = s * model.pmf[k]
     tol = tail + scale * p.tail_mass + 1e-14
-    shifted = {tuple(a + b for a, b in zip(v, k)): q for v, q in p.probs.items()}
+    table = dict(zip(map(tuple, p.keys.tolist()), values))
+    shifted = dict(zip(map(tuple, (p.keys + k).tolist()), p.probs))
     for v in set(table) | set(shifted):
         assert abs(table.get(v, 0.0) - scale * shifted.get(v, 0.0)) <= tol
 

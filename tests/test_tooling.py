@@ -77,3 +77,26 @@ def test_exact_checks_evaluate_each_functional_once_per_grid():
     names = [span[2] for span in t.requests[0]]
     assert names.count("oracle.grid_build") == len(corpus) * (1 + len(model.pmf))
     assert names.count("functional.apply_rows") == names.count("oracle.grid_build")
+
+
+def test_tracer_sees_the_convolution_engine():
+    # a cold table is built by the dense engine under transition_pmf; a cached
+    # one reaches no traced layer, which is how the tracer counts misses
+    tracer = _load_tracer()
+    model = pf.LatticeModel({-1: 0.3, 1: 0.5, 2: 0.2})
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.request(lambda: pf.transition_pmf(model, 1.5))
+        t.request(lambda: pf.transition_pmf(model, 1.5))
+    finally:
+        t.uninstall()
+    cold, warm = t.requests
+    by_id = {span[0]: span for span in cold}
+    (table,) = [span for span in cold if span[2] == "oracle.transition_pmf"]
+    below = {span[2] for span in cold if span[1] == table[0]}
+    assert "oracle.dense_basis" in below
+    powers = [span for span in cold if span[2] == "oracle.power"]
+    assert powers and all(by_id[span[1]][2] == "oracle.dense_basis" for span in powers)
+    (table,) = [span for span in warm if span[2] == "oracle.transition_pmf"]
+    assert not [span for span in warm if span[1] == table[0]]
