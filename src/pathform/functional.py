@@ -69,7 +69,8 @@ class CylindricalFunctional:
         times = tuple(float(t) for t in self.times)
         if not times:
             raise UnsortedTimes("a cylindrical functional needs at least one time")
-        if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
+        # comparisons written so that NaN fails them
+        if not times[0] > 0 or not all(b > a for a, b in zip(times, times[1:])):
             raise UnsortedTimes("coordinate times must be strictly increasing and > 0")
         object.__setattr__(self, "times", times)
 
@@ -208,14 +209,15 @@ def gamma(F: PathFunctional, G: PathFunctional, t: float, x,
 
 
 def _shifted_pair_values(F: PathFunctional, sb: ShiftedBatch):
-    """(base values, shifted values) for a batch, without path rebuilding."""
+    """(base coordinates, base values, shifted values) for a batch, without
+    path rebuilding; a count functional has no coordinates (None)."""
     if isinstance(F, CountFunctional):
-        return (_apply_counts(F, sb.base.counts),
+        return (None, _apply_counts(F, sb.base.counts),
                 _apply_counts(F, sb.shifted_counts()))
     base_coords = sb.base.coords_at(F.times)
     vb = _apply_rows(F, base_coords)
     vs = _apply_rows(F, sb.shifted_coords(F.times, base_coords))
-    return vb, vs
+    return base_coords, vb, vs
 
 
 # -- chunked deterministic reduction ------------------------------------------
@@ -294,7 +296,7 @@ def energy_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
 
     def chunk(rng, size):
         sb = sample_shifted_batch(measure, horizon, rng, size)
-        vb, vs = _shifted_pair_values(F, sb)
+        _, vb, vs = _shifted_pair_values(F, sb)
         d = vs - vb
         return [d * d]
 
@@ -328,7 +330,7 @@ def qi_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
 
     def chunk(rng, size):
         sb = sample_shifted_batch(measure, horizon, rng, size)
-        vb, vs = _shifted_pair_values(F, sb)
+        _, vb, vs = _shifted_pair_values(F, sb)
         rhs = vb * sb.base.counts / horizon
         return [vs, rhs, vs - rhs]
 
@@ -414,8 +416,12 @@ def generator_apply(F: PathFunctional, path: JumpPath, model,
 
 
 def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
-                            horizon: float) -> np.ndarray:
-    """Vectorized generator values for every path in a batch."""
+                            horizon: float, base_coords: Optional[np.ndarray] = None,
+                            vb: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorized generator values for every path in a batch.
+
+    A caller that already holds the batch's coordinates at F's times and
+    F's values there passes them as `base_coords` and `vb`."""
     T = float(horizon)
     if isinstance(F, CountFunctional):
         c = batch.counts
@@ -426,8 +432,10 @@ def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
             down[pos] = c[pos] * (_apply_counts(F, c[pos] - 1)
                                   - _apply_counts(F, c[pos])) / T
         return up + down
-    base_coords = batch.coords_at(F.times)
-    vb = _apply_rows(F, base_coords)
+    if base_coords is None:
+        base_coords = batch.coords_at(F.times)
+    if vb is None:
+        vb = _apply_rows(F, base_coords)
     times = np.asarray(F.times)
     deltas = np.diff(np.concatenate([[0.0], times]))
     first = np.zeros(batch.size)
@@ -460,10 +468,10 @@ def pairing_mc(F: PathFunctional, G: PathFunctional, model, horizon: float,
 
     def chunk(rng, size):
         sb = sample_shifted_batch(measure, horizon, rng, size)
-        fb, fs = _shifted_pair_values(F, sb)
-        gb, gs = _shifted_pair_values(G, sb)
-        lf = _generator_values_batch(F, sb.base, model, horizon)
-        lg = _generator_values_batch(G, sb.base, model, horizon)
+        fc, fb, fs = _shifted_pair_values(F, sb)
+        gc, gb, gs = _shifted_pair_values(G, sb)
+        lf = _generator_values_batch(F, sb.base, model, horizon, fc, fb)
+        lg = _generator_values_batch(G, sb.base, model, horizon, gc, gb)
         form = (fs - fb) * (gs - gb)
         fg = gb * lf
         gf = fb * lg
@@ -513,9 +521,15 @@ def product_indicator(times: Sequence[float], values: Sequence[float],
     def scalar(*coords):
         return 1.0 if all(c == v for c, v in zip(coords, vals)) else 0.0
 
+    def batch(c):
+        # one test per column: the same booleans as np.all(c == vals, axis=1)
+        hit = c[:, 0] == vals[0]
+        for j in range(1, len(vals)):
+            hit &= c[:, j] == vals[j]
+        return hit.astype(float)
+
     return CylindricalFunctional(
-        times=tuple(times), f=scalar,
-        batch=lambda c: np.all(c == vals[None, :], axis=1).astype(float),
+        times=tuple(times), f=scalar, batch=batch,
         bound=1.0, name=name or f"prod_ind@{list(times)}")
 
 

@@ -398,13 +398,21 @@ def functional_from_spec(spec: dict, T: float):
     """Builtin functional families available from the config file."""
     family = spec.get("family")
     built = None
+
+    def finite_time(key: str, value) -> float:
+        t = float(value)
+        if not math.isfinite(t):
+            raise ConfigError([("corpus", f"{family} {key} must be finite, got {t!r}")])
+        return t
+
     try:
         if family == "coordinate":
-            built = coordinate(float(spec["time"]), spec.get("lo"), spec.get("hi"))
+            built = coordinate(finite_time("time", spec["time"]), spec.get("lo"),
+                               spec.get("hi"))
         elif family == "indicator_at":
-            built = indicator_at(float(spec["time"]), float(spec["value"]))
+            built = indicator_at(finite_time("time", spec["time"]), float(spec["value"]))
         elif family == "product_indicator":
-            built = product_indicator([float(t) for t in spec["times"]],
+            built = product_indicator([finite_time("times", t) for t in spec["times"]],
                                       [float(v) for v in spec["values"]])
         elif family == "capped_count":
             built = capped_count(int(spec["cap"]))

@@ -9,7 +9,7 @@ the dyadic lattice 2^{-n} Z^d by componentwise floor.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,10 @@ from .errors import (
 )
 
 MASS_TOL = 1e-12
+
+# Past this many cut points a binary search beats one comparison pass per cut;
+# below 256 a uint8 count of the cut points reached cannot wrap.
+SEQUENTIAL_CUTS = 64
 
 # Batched sampler protocol for the continuous variant: sampler(rng, size)
 # must return a (size, d) float array.
@@ -60,7 +64,9 @@ class IntensityMeasure:
     discrete or the continuous variant.  `origin_flagged` marks discrete
     measures that legitimately carry an origin atom produced by
     `discretize`; path builders drop the resulting zero marks.  A measure
-    is validated once, when it is built.
+    is validated once, when it is built, and a discrete one computes the
+    cut points of its mark draws then too, so no two threads race to fill
+    them in.
     """
 
     dimension: int
@@ -69,9 +75,18 @@ class IntensityMeasure:
     sampler: Optional[ContinuousSampler] = None
     description: str = ""
     origin_flagged: bool = False
+    _cuts: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         self.validate()
+        if self.kind == "discrete":
+            # the normalized cdf exactly as Generator.choice computes it
+            cdf = self.masses.cumsum()
+            cdf /= cdf[-1]
+            cuts = cdf[:-1]
+            cuts.setflags(write=False)
+            object.__setattr__(self, "_cuts", cuts)
 
     @classmethod
     def discrete(cls, atoms: Sequence, dimension: Optional[int] = None,
@@ -130,10 +145,26 @@ class IntensityMeasure:
         return self.sample_batch(rng, 1)[0]
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` i.i.d. marks as a (size, d) array."""
+        """`size` i.i.d. marks as a (size, d) array.
+
+        A discrete draw is the inverse transform `rng.choice(len(masses),
+        size, p=masses)` makes, without its per-call checks of `p`: one
+        `rng.random(size)`, then the atom index counts the cut points
+        `cdf[:-1]` that each uniform reaches, which is `cdf.searchsorted(u,
+        side="right")` because every u < 1 == cdf[-1].  The cut points are
+        the same floats `choice` builds, so the indices, and the stream
+        left behind, are bit-identical to it.
+        """
         if self.kind == "discrete":
-            idx = rng.choice(len(self.masses), size=size, p=self.masses)
-            return self.points[idx].copy()
+            u = rng.random(size)
+            if len(self._cuts) > SEQUENTIAL_CUTS:
+                idx = np.searchsorted(self._cuts, u, side="right")
+            else:
+                hits = np.zeros(size, dtype=np.uint8)
+                for c in self._cuts:
+                    hits += (u >= c).view(np.uint8)
+                idx = hits.astype(np.intp)
+            return self.points.take(idx, axis=0)
         draws = np.asarray(self.sampler(rng, size), dtype=float)
         if draws.shape != (size, self.dimension):
             raise DimensionMismatch(

@@ -647,6 +647,9 @@ def poisson_count_stats(g, horizon: float, m_max: int,
     the 17 counts past m_max, so a g that grows faster further out can
     leave a larger error than `tol` without raising TruncationTooCoarse.
     """
+    # comparisons written so that NaN fails them
+    if not 0 <= horizon < math.inf:
+        raise TimeOutOfRange(f"horizon must be finite and >= 0, got {horizon}")
     gg = g.g if isinstance(g, CountFunctional) else g
     m_max = int(m_max)
     # heuristic tail estimate: the worst |g| on a 17-term window past the

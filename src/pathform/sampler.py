@@ -166,12 +166,14 @@ def sample_path_batch(measure: IntensityMeasure, horizon: float,
     path_ids = np.repeat(np.arange(size, dtype=np.int64), counts)
     times = raw_times[_path_order(path_ids, raw_times, horizon)]
     marks = measure.sample_batch(rng, total)
-    keep = ~np.all(marks == 0.0, axis=1)
-    if not np.all(keep):
-        path_ids = path_ids[keep]
-        times = times[keep]
-        marks = marks[keep]
-        counts = np.bincount(path_ids, minlength=size)
+    # validation rules out zero marks for every measure not origin-flagged
+    if measure.origin_flagged:
+        keep = ~np.all(marks == 0.0, axis=1)
+        if not np.all(keep):
+            path_ids = path_ids[keep]
+            times = times[keep]
+            marks = marks[keep]
+            counts = np.bincount(path_ids, minlength=size)
     return PathBatch(float(horizon), measure.dimension, counts,
                      times, marks, path_ids)
 

@@ -5,7 +5,7 @@ import pytest
 
 import pathform as pf
 from pathform import CylindricalFunctional, JumpPath, StreamConfig
-from pathform.errors import BoundViolation, HorizonMismatch, NoSuchJump
+from pathform.errors import BoundViolation, HorizonMismatch, NoSuchJump, UnsortedTimes
 from pathform.functional import (
     DEFAULT_CHUNK,
     _chunk_sizes,
@@ -57,6 +57,31 @@ def test_nan_is_a_bound_violation(pm1_model):
         pf.evaluate(F, JumpPath.empty(1.0))
     with pytest.raises(BoundViolation):
         pf.expect_cylindrical(pm1_model, 1.0, F)
+
+
+@pytest.mark.parametrize("times", [(math.nan,), (0.5, math.nan), (math.nan, 1.0),
+                                   (0.0,), (0.5, 0.5), (1.0, 0.5)])
+def test_unsorted_or_nan_times_refused(times):
+    with pytest.raises(UnsortedTimes):
+        CylindricalFunctional(times=times, f=lambda *a: 0.0, bound=0.0)
+    with pytest.raises(UnsortedTimes):
+        pf.product_indicator(times, [0.0] * len(times))
+    if len(times) == 1:
+        with pytest.raises(UnsortedTimes):
+            pf.indicator_at(times[0], 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_product_indicator_batch_equals_scalar(n):
+    rng = np.random.default_rng(n)
+    values = rng.integers(-1, 2, size=n).astype(float)
+    F = pf.product_indicator(tuple(0.2 * (j + 1) for j in range(n)), values)
+    rows = rng.integers(-1, 2, size=(4000, n)).astype(float)
+    rows[::7] = values  # make sure hits occur at every n
+    want = np.array([F.f(*row) for row in rows])
+    got = F.batch(rows[:, :, None][:, :, 0])  # the strided view _apply_rows passes
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.sum() > 0
 
 
 def test_horizon_mismatch():

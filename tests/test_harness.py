@@ -104,6 +104,27 @@ def test_functional_family_specs():
         functional_from_spec({"family": "fourier"}, 1.0)
 
 
+@pytest.mark.parametrize("spec", [
+    {"family": "indicator_at", "time": float("nan"), "value": 0.0},
+    {"family": "coordinate", "time": float("-inf")},
+    {"family": "product_indicator", "times": [0.5, float("nan")], "values": [0, 0]},
+])
+def test_functional_spec_rejects_non_finite_times(spec):
+    with pytest.raises(ConfigError) as err:
+        functional_from_spec(spec, 1.0)
+    (field, msg), = err.value.fields
+    assert field == "corpus"
+    assert ("times" if "times" in spec else "time") in msg and "finite" in msg
+
+
+def test_cli_non_finite_corpus_time_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"samples": 1000, "params": {"qi": {"corpus": '
+                   '[{"family": "indicator_at", "time": NaN, "value": 0.0}]}}}')
+    assert cli.main(["qi", "--config", str(cfg)]) == 2
+    assert "corpus" in capsys.readouterr().err
+
+
 # -- reports ---------------------------------------------------------------------------
 
 def test_sample_suite_determinism():

@@ -72,6 +72,75 @@ def test_sample_determinism(pm1):
     assert np.array_equal(a, b)
 
 
+def _choice_marks(measure, rng, size):
+    """The reference mark draw: numpy's own inverse transform."""
+    return measure.points[rng.choice(len(measure.masses), size=size, p=measure.masses)]
+
+
+def _assert_draws_match_choice(measure, seed, size):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = measure.sample_batch(rng, size)
+    want = _choice_marks(measure, ref, size)
+    assert got.shape == want.shape == (size, measure.dimension)
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == ref.random()  # the stream is left where choice leaves it
+
+
+@given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 7, 333, 4097]))
+def test_discrete_draws_equal_rng_choice(weights, seed, size):
+    total = sum(weights)
+    masses = [w / total for w in weights]
+    masses[-1] = 1.0 - sum(masses[:-1])
+    measure = pf.IntensityMeasure.discrete(
+        [(float(i + 1), m) for i, m in enumerate(masses)])
+    _assert_draws_match_choice(measure, seed, size)
+
+
+@pytest.mark.parametrize("atoms", [
+    [(-2.0, 0.1), (1.0, 0.6), (3.0, 0.3)],
+    [(-2.0, 0.15), (-1.0, 0.3), (1.0, 0.25), (2.0, 0.2), (5.0, 0.1)],
+    [((1.0, 0.0), 0.2), ((0.0, -1.0), 0.7), ((2.0, 3.0), 0.1)],
+    # more cut points than the sequential pass handles: binary search
+    [(float(k), 1.0 / 100) for k in range(1, 101)],
+], ids=["three", "five", "d2", "hundred"])
+@pytest.mark.parametrize("size", [0, 1, 7, 65_537])
+def test_discrete_draws_equal_rng_choice_examples(atoms, size):
+    measure = pf.IntensityMeasure.discrete(atoms)
+    for seed in range(5):
+        _assert_draws_match_choice(measure, seed, size)
+
+
+class _FixedUniforms(np.random.Generator):
+    """A generator whose `random(size)` returns given values, so that a
+    draw can be tried at chosen uniforms; `Generator.choice` reads its
+    uniforms through the same method."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u[:size].copy()
+
+
+@pytest.mark.parametrize("masses", [[0.3, 0.6, 0.1], [0.15, 0.3, 0.25, 0.2, 0.1],
+                                    [1.0 / 100] * 100])
+def test_discrete_draws_equal_rng_choice_at_cut_points(masses):
+    # these masses sum to 0.9999999999999999 in cumsum order, so the raw
+    # cumulative sums and choice's normalized ones are different floats;
+    # uniforms on and next to both sets must pick choice's atoms
+    measure = pf.IntensityMeasure.discrete(
+        [(float(i + 1), m) for i, m in enumerate(masses)])
+    raw = np.cumsum(measure.masses)
+    cuts = np.concatenate([raw[:-1], raw[:-1] / raw[-1]])
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cuts,
+                        np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)])
+    want = _choice_marks(measure, _FixedUniforms(u), len(u))
+    got = measure.sample_batch(_FixedUniforms(u), len(u))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_continuous_sampler_never_returns_origin():
     bad = pf.IntensityMeasure.continuous(
         lambda rng, size: np.zeros((size, 1)), dimension=1)

@@ -675,6 +675,12 @@ def test_count_stats_truncation_guard():
         pf.poisson_count_stats(g, 2.0, 3)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+def test_count_stats_refuses_bad_horizon(horizon):
+    with pytest.raises(TimeOutOfRange):
+        pf.poisson_count_stats(lambda m: float(m), horizon, 20)
+
+
 def test_count_stats_vs_mc(pm1):
     cap = pf.capped_count(1000)
     s = pf.poisson_count_stats(cap, 1.0, 80)
