@@ -416,12 +416,13 @@ def generator_apply(F: PathFunctional, path: JumpPath, model,
 
 
 def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
-                            horizon: float, base_coords: Optional[np.ndarray] = None,
-                            vb: Optional[np.ndarray] = None) -> np.ndarray:
+                            horizon: float, base_coords: Optional[np.ndarray],
+                            vb: np.ndarray) -> np.ndarray:
     """Vectorized generator values for every path in a batch.
 
-    A caller that already holds the batch's coordinates at F's times and
-    F's values there passes them as `base_coords` and `vb`."""
+    `base_coords` and `vb` are the batch's coordinates at F's times and F's
+    values there, as `_shifted_pair_values` returns them (a count
+    functional has no coordinates and ignores both)."""
     T = float(horizon)
     if isinstance(F, CountFunctional):
         c = batch.counts
@@ -432,10 +433,6 @@ def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
             down[pos] = c[pos] * (_apply_counts(F, c[pos] - 1)
                                   - _apply_counts(F, c[pos])) / T
         return up + down
-    if base_coords is None:
-        base_coords = batch.coords_at(F.times)
-    if vb is None:
-        vb = _apply_rows(F, base_coords)
     times = np.asarray(F.times)
     deltas = np.diff(np.concatenate([[0.0], times]))
     first = np.zeros(batch.size)

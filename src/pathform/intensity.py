@@ -25,9 +25,13 @@ from .errors import (
 
 MASS_TOL = 1e-12
 
-# Past this many cut points a binary search beats one comparison pass per cut;
-# below 256 a uint8 count of the cut points reached cannot wrap.
-SEQUENTIAL_CUTS = 64
+# A discrete mark draw counts, for each uniform, the cut points it reaches
+# in a uint8, one comparison pass per cut; that count holds up to 255 cut
+# points, and past them the draw binary-searches instead.  The passes are the
+# faster draw at every count up to there: for 131,072 uniforms (numpy 2.4.6,
+# x86_64) they take 0.15 / 1.8 / 8.1 ms at 2 / 64 / 255 cut points, against
+# 2.4 / 8.9 / 12.4 ms for np.searchsorted.
+SEQUENTIAL_CUTS = 255
 
 # Batched sampler protocol for the continuous variant: sampler(rng, size)
 # must return a (size, d) float array.

@@ -8,6 +8,7 @@ from pathform import CylindricalFunctional, JumpPath, StreamConfig
 from pathform.errors import BoundViolation, HorizonMismatch, NoSuchJump, UnsortedTimes
 from pathform.functional import (
     DEFAULT_CHUNK,
+    _apply_rows,
     _chunk_sizes,
     _generator_values_batch,
     _run_chunked,
@@ -253,7 +254,8 @@ def test_generator_batch_matches_per_path(pm1, pm1_model):
         times=(0.25, 0.75), f=lambda a, b: 1.0 if a <= b else 0.0,
         batch=lambda c: (c[:, 0] <= c[:, 1]).astype(float), bound=1.0)
     batch = sample_path_batch(pm1, 1.0, StreamConfig(seed=14).rng(), 100)
-    vals = _generator_values_batch(F, batch, pm1_model, 1.0)
+    coords = batch.coords_at(F.times)
+    vals = _generator_values_batch(F, batch, pm1_model, 1.0, coords, _apply_rows(F, coords))
     for i in range(0, 100, 9):
         direct = pf.generator_apply(F, batch.path(i), pm1_model, 1.0)
         assert math.isclose(vals[i], direct, rel_tol=0, abs_tol=1e-12)

@@ -101,9 +101,10 @@ def test_discrete_draws_equal_rng_choice(weights, seed, size):
     [(-2.0, 0.1), (1.0, 0.6), (3.0, 0.3)],
     [(-2.0, 0.15), (-1.0, 0.3), (1.0, 0.25), (2.0, 0.2), (5.0, 0.1)],
     [((1.0, 0.0), 0.2), ((0.0, -1.0), 0.7), ((2.0, 3.0), 0.1)],
-    # more cut points than the sequential pass handles: binary search
     [(float(k), 1.0 / 100) for k in range(1, 101)],
-], ids=["three", "five", "d2", "hundred"])
+    # more cut points than the sequential pass counts: binary search
+    [(float(k), 1.0 / 300) for k in range(1, 301)],
+], ids=["three", "five", "d2", "hundred", "three_hundred"])
 @pytest.mark.parametrize("size", [0, 1, 7, 65_537])
 def test_discrete_draws_equal_rng_choice_examples(atoms, size):
     measure = pf.IntensityMeasure.discrete(atoms)
@@ -125,9 +126,9 @@ class _FixedUniforms(np.random.Generator):
 
 
 @pytest.mark.parametrize("masses", [[0.3, 0.6, 0.1], [0.15, 0.3, 0.25, 0.2, 0.1],
-                                    [1.0 / 100] * 100])
+                                    [1.0 / 100] * 100, [1.0 / 300] * 300])
 def test_discrete_draws_equal_rng_choice_at_cut_points(masses):
-    # these masses sum to 0.9999999999999999 in cumsum order, so the raw
+    # in cumsum order none of these masses sums to exactly 1.0, so the raw
     # cumulative sums and choice's normalized ones are different floats;
     # uniforms on and next to both sets must pick choice's atoms
     measure = pf.IntensityMeasure.discrete(
