@@ -60,14 +60,16 @@ def _load_config(args) -> "RunConfig":
     if args.out is not None:
         obj["out"] = args.out
     if args.suite == "sample":
-        params = obj.setdefault("params", {}).setdefault("sample", {})
-        if getattr(args, "measure", None):
+        if args.measure:
             with open(args.measure) as fh:
                 obj["measure"] = json.load(fh)
-        if getattr(args, "n", None) is not None:
-            params["n_paths"] = args.n
-        if getattr(args, "project", None) is not None:
-            params["project"] = args.project
+        # params that are not objects are left for config_from_dict to report
+        params = obj["params"] = obj.get("params") or {}
+        sample = params.setdefault("sample", {}) if isinstance(params, dict) else None
+        if isinstance(sample, dict):
+            for key, value in (("n_paths", args.n), ("project", args.project)):
+                if value is not None:
+                    sample[key] = value
     return config_from_dict(obj)
 
 

@@ -10,7 +10,7 @@ class DimensionMismatch(PathformError):
 
 
 class NonProbability(PathformError):
-    """Masses of a discrete measure do not sum to one."""
+    """Atoms and masses are not a probability on R^d (`IntensityMeasure.validate`)."""
 
 
 class AtomAtOrigin(PathformError):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from . import __version__
-from .errors import ConfigError, PathformError, UnsupportedMeasure
+from .errors import ConfigError, UnsupportedMeasure
 from .functional import (
     CountFunctional,
     CylindricalFunctional,
@@ -436,27 +436,41 @@ def _resolve_corpus(cfg: RunConfig, suite: str) -> List[CylindricalFunctional]:
     return [functional_from_spec(spec, cfg.T) for spec in specs]
 
 
-def _require_lattice(cfg: RunConfig, suite: str) -> LatticeModel:
+def _one_dimensional(cfg: RunConfig, suite: str) -> IntensityMeasure:
+    """The run's measure, refused unless d = 1: the suite's built-in
+    functionals, corpus families and parameters are all one-dimensional."""
+    measure = cfg.measure()
+    if measure.dimension != 1:
+        raise ConfigError([("measure.dimension", f"the {suite} suite needs d = 1, "
+                                                 f"got d = {measure.dimension}")])
+    return measure
+
+
+def _lattice_model(cfg: RunConfig, measure: IntensityMeasure,
+                   needed_by: str = None) -> Optional[LatticeModel]:
+    """The measure's lattice model; off the lattice, None or, for suite
+    `needed_by`, a ConfigError.  An invalid measure raises its own error."""
     try:
-        return LatticeModel.from_measure(cfg.measure(),
-                                         truncation_tolerance=cfg.tol("truncation"))
-    except (UnsupportedMeasure, PathformError) as exc:
-        raise ConfigError([("measure", f"{suite} suite needs an integer-lattice "
-                                       f"measure: {exc}")])
+        return LatticeModel.from_measure(measure, cfg.tol("truncation"))
+    except UnsupportedMeasure as exc:
+        if needed_by is None:
+            return None
+        raise ConfigError([("measure", f"{needed_by} suite needs an "
+                                       f"integer-lattice measure: {exc}")])
+
+
+def _require_lattice(cfg: RunConfig, suite: str) -> LatticeModel:
+    return _lattice_model(cfg, _one_dimensional(cfg, suite), suite)
 
 
 # -- suites ------------------------------------------------------------------------
 
 def _suite_qi(cfg: RunConfig) -> Report:
-    measure = cfg.measure()
+    measure = _one_dimensional(cfg, "qi")
     sigma = cfg.tol("sigma")
     rows: List[CheckRow] = []
-    is_lattice = True
-    try:
-        model = LatticeModel.from_measure(measure, cfg.tol("truncation"))
-    except (UnsupportedMeasure, PathformError):
-        is_lattice = False
-    if is_lattice:
+    model = _lattice_model(cfg, measure)
+    if model is not None:
         corpus = _resolve_corpus(cfg, "qi")
         for F in corpus:
             if isinstance(F, CountFunctional):
@@ -617,7 +631,7 @@ def _suite_lsi(cfg: RunConfig) -> Report:
 
 
 def _suite_coupling(cfg: RunConfig) -> Report:
-    measure = cfg.measure()
+    measure = _one_dimensional(cfg, "coupling")
     params = cfg.suite_params("coupling")
     levels = [int(n) for n in params["levels"]]
     sigma = cfg.tol("sigma")

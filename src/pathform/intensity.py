@@ -8,6 +8,7 @@ the dyadic lattice 2^{-n} Z^d by componentwise floor.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -19,6 +20,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     NonProbability,
+    PathformError,
     UnsupportedMeasure,
     UnsupportedVariant,
 )
@@ -96,11 +98,11 @@ class IntensityMeasure:
     def discrete(cls, atoms: Sequence, dimension: Optional[int] = None,
                  origin_flagged: bool = False) -> "IntensityMeasure":
         """Build from `[(point, mass), ...]`; points may be scalars for d=1."""
-        pts = np.atleast_2d(np.asarray([np.atleast_1d(p) for p, _ in atoms], dtype=float))
+        pts = np.asarray([np.atleast_1d(p) for p, _ in atoms], dtype=float)
         ms = np.asarray([m for _, m in atoms], dtype=float)
+        pts = pts.reshape(len(ms), -1) if len(ms) else pts.reshape(0, dimension or 1)
         if dimension is None:
             dimension = pts.shape[1]
-        pts = pts.reshape(len(ms), -1)
         pts.setflags(write=False)
         ms.setflags(write=False)
         return cls(dimension=int(dimension), points=pts, masses=ms,
@@ -117,7 +119,9 @@ class IntensityMeasure:
         return "discrete" if self.points is not None else "continuous"
 
     def validate(self) -> None:
-        """Check all invariants; raises on the first violated one."""
+        """Check all invariants, the only rules a jump measure obeys (a
+        `LatticeModel` adds integrality); raises on the first violated one.
+        Comparisons are written so that NaN fails them."""
         if self.dimension < 1:
             raise DimensionMismatch(f"dimension must be positive, got {self.dimension}")
         if self.kind == "continuous":
@@ -125,19 +129,23 @@ class IntensityMeasure:
                 raise UnsupportedVariant("continuous measure needs a sampler")
             return
         pts, ms = self.points, self.masses
+        if not len(ms):
+            raise NonProbability("a discrete measure needs at least one atom")
         if pts.shape != (len(ms), self.dimension):
             raise DimensionMismatch(
                 f"points shape {pts.shape} incompatible with d={self.dimension}")
-        if np.any(ms <= 0):
+        if not np.all(ms > 0):
             raise NonProbability("atom masses must be strictly positive")
-        total = float(ms.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        total = math.fsum(ms)
+        if not abs(total - 1.0) <= MASS_TOL:
             raise NonProbability(f"atom masses sum to {total!r}, not 1")
+        if not np.all(np.isfinite(pts)):
+            raise NonProbability("atom coordinates must be finite")
         seen = set()
-        for row in pts:
-            key = row.tobytes()
+        for row in pts.tolist():
+            key = tuple(row)  # float tuples compare and hash by value
             if key in seen:
-                raise NonProbability(f"duplicate atom at {row.tolist()}")
+                raise NonProbability(f"duplicate atom at {row}")
             seen.add(key)
         if not self.origin_flagged and np.any(np.all(pts == 0.0, axis=1)):
             raise AtomAtOrigin("discrete measure charges the origin")
@@ -187,18 +195,12 @@ class IntensityMeasure:
         """
         if self.kind == "continuous":
             raise UnsupportedVariant("discretize is defined for discrete measures only")
-        projected = project_mark(self.points, n)
         merged: dict = {}
-        for row, m in zip(projected, self.masses):
-            key = row.tobytes()
-            if key in merged:
-                merged[key] = (merged[key][0], merged[key][1] + m)
-            else:
-                merged[key] = (row, m)
-        atoms = [(row, m) for row, m in merged.values()]
-        flagged = any(np.all(row == 0.0) for row, _ in atoms)
-        return IntensityMeasure.discrete(atoms, dimension=self.dimension,
-                                         origin_flagged=flagged)
+        for row, m in zip(project_mark(self.points, n).tolist(), self.masses):
+            # float tuples compare by value, as `validate` compares atoms
+            merged[tuple(row)] = merged.get(tuple(row), 0.0) + m
+        return IntensityMeasure.discrete(list(merged.items()), dimension=self.dimension,
+                                         origin_flagged=any(not any(row) for row in merged))
 
 
 # -- builtins --------------------------------------------------------------
@@ -278,9 +280,8 @@ def measure_from_spec(spec: dict) -> IntensityMeasure:
         if problems:
             raise ConfigError(problems)
         try:
-            return IntensityMeasure.discrete(
-                atoms, dimension=dim if isinstance(dim, int) else None)
-        except (NonProbability, AtomAtOrigin, DimensionMismatch) as exc:
+            return IntensityMeasure.discrete(atoms, dimension=dim)
+        except PathformError as exc:
             raise ConfigError([("measure.atoms", f"{type(exc).__name__}: {exc}")])
     if kind == "continuous":
         problems.append(("measure.builtin",

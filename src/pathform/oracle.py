@@ -29,10 +29,8 @@ import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import (
-    AtomAtOrigin,
     DimensionMismatch,
     GridTooLarge,
-    NonProbability,
     TimeOutOfRange,
     TruncationTooCoarse,
     UnsortedTimes,
@@ -72,7 +70,7 @@ def _as_point(x, dimension: int) -> LatticePoint:
     arr = np.atleast_1d(np.asarray(x))
     if arr.shape != (dimension,):
         raise DimensionMismatch(f"point shape {arr.shape} != ({dimension},)")
-    if not np.all(arr == np.rint(arr)):
+    if not np.all(np.isfinite(arr) & (arr == np.rint(arr))):
         raise UnsupportedMeasure(f"{x!r} is not a lattice point")
     return tuple(int(v) for v in np.rint(arr))
 
@@ -112,35 +110,26 @@ class PmfTable:
 class LatticeModel:
     """Finite-support jump measure on Z^d with a convolution-power engine.
 
-    Convolution powers of the jump pmf live as dense arrays on the integer
-    box that holds the first m of them (`_dense_basis`); transition tables
-    are cached per elapsed time.  The caches only grow, and each public
-    computation stays a pure function of its arguments.
+    An integer view of the `IntensityMeasure` it builds from its keys in
+    sorted order, which checks all but integrality.  Convolution powers of
+    the jump pmf live as dense arrays on the integer box that holds the
+    first m of them (`_dense_basis`); transition tables are cached per
+    elapsed time.  The caches only grow, and each public computation stays
+    a pure function of its arguments.
     """
 
     def __init__(self, pmf: Dict, truncation_tolerance: float = 1e-12):
         if not truncation_tolerance > 0:
             raise TruncationTooCoarse(
                 f"tolerance must be positive, got {truncation_tolerance!r}")
-        items = list(pmf.items())
-        if not items:
-            raise NonProbability("empty support")
-        dim = len(np.atleast_1d(np.asarray(items[0][0])))
-        norm: Dict[LatticePoint, float] = {}
-        for key, mass in items:
-            point = _as_point(key, dim)
-            if not float(mass) > 0:
-                raise NonProbability(f"mass at {point} must be positive")
-            if all(c == 0 for c in point):
-                raise AtomAtOrigin("lattice measure charges the origin")
-            if point in norm:
-                raise NonProbability(f"duplicate atom {point}")
-            norm[point] = float(mass)
-        total = math.fsum(norm.values())
-        if not abs(total - 1.0) <= 1e-12:
-            raise NonProbability(f"masses sum to {total!r}, not 1")
+        dim = np.atleast_1d(np.asarray(next(iter(pmf), 0))).size
+        atoms = sorted(((_as_point(key, dim), float(mass)) for key, mass in pmf.items()),
+                       key=lambda atom: atom[0])
+        self._measure = IntensityMeasure.discrete(
+            [(np.asarray(point, dtype=float), mass) for point, mass in atoms],
+            dimension=dim)
         self.dimension = dim
-        self.pmf: Dict[LatticePoint, float] = dict(sorted(norm.items()))
+        self.pmf: Dict[LatticePoint, float] = dict(atoms)
         self.truncation_tolerance = float(truncation_tolerance)
         self._pmf_cache: Dict[float, PmfTable] = {}
         self._dense_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -150,14 +139,11 @@ class LatticeModel:
                      truncation_tolerance: float = 1e-12) -> "LatticeModel":
         if measure.kind != "discrete":
             raise UnsupportedMeasure("lattice model needs a discrete measure")
-        pmf = {}
-        for point, mass in zip(measure.points, measure.masses):
-            pmf[_as_point(point, measure.dimension)] = float(mass)
-        return cls(pmf, truncation_tolerance)
+        return cls(dict(zip(map(tuple, measure.points.tolist()), measure.masses.tolist())),
+                   truncation_tolerance)
 
     def to_measure(self) -> IntensityMeasure:
-        atoms = [(np.asarray(k, dtype=float), m) for k, m in self.pmf.items()]
-        return IntensityMeasure.discrete(atoms, dimension=self.dimension)
+        return self._measure
 
     def mass(self, point) -> float:
         return self.pmf.get(_as_point(point, self.dimension), 0.0)
@@ -376,10 +362,7 @@ class IncrementGrid:
             if not 0 <= shift_from <= len(self.times):
                 raise TimeOutOfRange(
                     f"shift position {shift_from} outside 0..{len(self.times)}")
-            shift = _as_point(shift_vec, self.model.dimension)
-            if shift not in self.model.pmf:
-                raise UnsupportedMeasure(
-                    f"shift {shift} is not an atom of the jump measure")
+            shift = _mark_point(self.model, shift_vec)
         return self.expect_values(self.read(self.values(F), shift_from, shift))
 
 
@@ -392,8 +375,8 @@ def _check_truncation(grid: IncrementGrid, F: CylindricalFunctional,
 
 def _mark_point(model: LatticeModel, k) -> LatticePoint:
     point = _as_point(k, model.dimension)
-    if model.pmf.get(point, 0.0) <= 0.0:
-        raise UnsupportedMeasure(f"measure puts no mass at {point}")
+    if point not in model.pmf:
+        raise UnsupportedMeasure(f"{point} is not an atom of the jump measure")
     return point
 
 

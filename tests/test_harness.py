@@ -6,8 +6,8 @@ import pytest
 from scipy import special, stats
 
 import pathform as pf
-from pathform import cli
-from pathform.errors import ConfigError
+from pathform import cli, harness
+from pathform.errors import AtomAtOrigin, ConfigError
 from pathform.harness import functional_from_spec
 from pathform.sampler import sample_path_batch
 
@@ -88,6 +88,57 @@ def test_lattice_suites_reject_continuous_measure():
     for suite in ("poincare", "generator", "semigroup", "smalltime"):
         with pytest.raises(ConfigError):
             pf.run_suite(suite, cfg)
+
+
+D2_MEASURE = {"type": "discrete", "dimension": 2,
+              "atoms": [[[1.0, 0.0], 0.5], [[0.0, 1.0], 0.5]]}
+
+
+@pytest.mark.parametrize("suite", ["qi", "poincare", "generator", "semigroup",
+                                   "smalltime", "coupling"])
+def test_one_dimensional_suites_refuse_other_dimensions(suite):
+    # their functionals, corpus families and parameters are all one-dimensional
+    with pytest.raises(ConfigError) as err:
+        pf.run_suite(suite, small_cfg(measure=D2_MEASURE))
+    assert [field for field, _ in err.value.fields] == ["measure.dimension"]
+
+
+def test_sample_and_lsi_run_in_two_dimensions(tmp_path, capsys):
+    cfg = small_cfg(measure=D2_MEASURE, params={"sample": {"n_paths": 4}})
+    for suite in ("sample", "lsi"):
+        assert pf.run_suite(suite, cfg).overall_pass
+    spec = tmp_path / "d2.json"
+    spec.write_text(json.dumps({"measure": D2_MEASURE}))
+    assert cli.main(["smalltime", "--config", str(spec)]) == 2
+    assert "measure.dimension" in capsys.readouterr().err
+
+
+NAN_MASS = {"type": "discrete", "atoms": [[[1.0], float("nan")], [[-1.0], 1.0]]}
+
+
+def test_invalid_measure_is_refused_not_rerouted(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        pf.config_from_dict({"measure": NAN_MASS})
+    assert [field for field, _ in err.value.fields] == ["measure.atoms"]
+    # built past config_from_dict, the measure is still refused, never read
+    # as "not a lattice" and sent to the Monte Carlo corpus
+    with pytest.raises(ConfigError):
+        pf.run_suite("qi", pf.RunConfig(measure_spec=NAN_MASS, samples=1000))
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps({"measure": NAN_MASS, "samples": 1000}))
+    assert cli.main(["qi", "--config", str(spec)]) == 2
+    assert "measure.atoms" in capsys.readouterr().err
+
+
+def test_qi_falls_back_to_monte_carlo_only_off_the_lattice():
+    half = {"type": "discrete", "atoms": [[[0.5], 0.5], [[-0.5], 0.5]]}
+    rep = pf.run_suite("qi", small_cfg(measure=half))
+    assert rep.rows and all(r.name.startswith("qi_mc[") for r in rep.rows)
+    cfg = small_cfg()
+    assert harness._lattice_model(cfg, pf.uniform_interval(1.0, 2.0)) is None
+    flagged = pf.IntensityMeasure.discrete([(0.0, 0.5), (1.0, 0.5)], origin_flagged=True)
+    with pytest.raises(AtomAtOrigin):
+        harness._lattice_model(cfg, flagged)
 
 
 def test_functional_family_specs():
@@ -305,6 +356,23 @@ def test_cli_sample_refuses_marks_without_a_finite_projection(tmp_path, capsys):
     assert code == 3
     assert "Infinity" not in out
     assert err.startswith("error: UnsupportedMeasure: ")
+
+
+def test_cli_sample_overrides_respect_the_config_shape(tmp_path, capsys):
+    null_params = tmp_path / "null.json"
+    null_params.write_text('{"params": null}')
+    assert cli.main(["sample", "--config", str(null_params), "--n", "2"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 2
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text('{"params": {"sample": 3}}')
+    assert cli.main(["sample", "--config", str(scalar), "--n", "2",
+                     "--project", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "params.sample: must be an object" in err and "Traceback" not in err
+    listed = tmp_path / "list.json"
+    listed.write_text('{"params": [1]}')
+    assert cli.main(["sample", "--config", str(listed), "--n", "2"]) == 2
+    assert "params: must be an object" in capsys.readouterr().err
 
 
 def test_cli_measure_file(tmp_path, capsys):

@@ -28,16 +28,35 @@ def test_validate_origin_atom():
 def test_validate_non_probability():
     with pytest.raises(NonProbability):
         pf.IntensityMeasure.discrete([(1.0, 0.6), (-1.0, 0.6)])
+    with pytest.raises(NonProbability, match="at least one atom"):
+        pf.IntensityMeasure.discrete([])
+    with pytest.raises(NonProbability):
+        pf.IntensityMeasure.discrete([], dimension=2)
 
 
 def test_validate_negative_mass():
     with pytest.raises(NonProbability):
         pf.IntensityMeasure.discrete([(1.0, 1.5), (-1.0, -0.5)])
+    # a NaN mass is not positive, wherever it sits
+    for masses in [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(NonProbability):
+            pf.IntensityMeasure.discrete([(1.0, masses[0]), (-1.0, masses[1])])
 
 
 def test_validate_duplicate_atoms():
     with pytest.raises(NonProbability):
         pf.IntensityMeasure.discrete([(1.0, 0.5), (1.0, 0.5)])
+    # atoms are compared as numbers: 0.0 and -0.0 are one coordinate
+    with pytest.raises(NonProbability, match="duplicate"):
+        pf.IntensityMeasure.discrete([((1.0, 0.0), 0.5), ((1.0, -0.0), 0.5)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_non_finite_coordinates(bad):
+    with pytest.raises(NonProbability, match="finite"):
+        pf.IntensityMeasure.discrete([(bad, 0.5), (-1.0, 0.5)])
+    with pytest.raises(NonProbability, match="finite"):
+        pf.IntensityMeasure.discrete([((1.0, bad), 0.5), ((0.0, 1.0), 0.5)])
 
 
 def test_validate_dimension_mismatch():
@@ -182,6 +201,15 @@ def test_discretize_mixed_atoms_with_origin_flag():
     out.validate()  # flagged origin atom is legal
 
 
+def test_discretize_merges_signed_zero_coordinates():
+    # (1, -0.0) and (1, 0.3) both land on (1, 0) at level 0: one atom
+    m = pf.IntensityMeasure.discrete([((1.0, -0.0), 0.25), ((1.0, 0.3), 0.75)])
+    out = m.discretize(0)
+    assert out.points.tolist() == [[1.0, 0.0]]
+    assert out.masses.tolist() == [1.0]
+    assert not out.origin_flagged
+
+
 def test_discretize_continuous_rejected(u12):
     with pytest.raises(UnsupportedVariant):
         u12.discretize(2)
@@ -290,6 +318,20 @@ def test_measure_from_spec_atoms():
 def test_measure_from_spec_rejects_origin():
     with pytest.raises(ConfigError):
         pf.measure_from_spec({"type": "discrete", "atoms": [[[0.0], 1.0]]})
+
+
+@pytest.mark.parametrize("atoms", [
+    [[[1.0], math.nan], [[-1.0], 1.0]],
+    [[[math.nan], 0.5], [[-1.0], 0.5]],
+    [[[math.inf], 0.5], [[-1.0], 0.5]],
+    [[[1.0, 0.0], 0.5], [[1.0, -0.0], 0.5]],
+    [],
+])
+def test_measure_from_spec_maps_every_measure_error_to_atoms(atoms):
+    with pytest.raises(ConfigError) as err:
+        pf.measure_from_spec({"type": "discrete", "atoms": atoms,
+                              "dimension": len(atoms[0][0]) if atoms else 1})
+    assert [field for field, _ in err.value.fields] == ["measure.atoms"]
 
 
 def test_measure_from_spec_unknown_builtin():

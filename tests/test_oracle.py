@@ -38,18 +38,40 @@ def test_model_rejects_origin():
 def test_model_rejects_bad_mass():
     with pytest.raises(NonProbability):
         pf.LatticeModel({1: 0.6, -1: 0.6})
+    with pytest.raises(NonProbability):
+        pf.LatticeModel({})
+    with pytest.raises(NonProbability, match="duplicate"):
+        pf.LatticeModel({1: 0.5, (1,): 0.5})  # two keys, one lattice point
 
 
 def test_model_rejects_non_lattice():
     m = pf.IntensityMeasure.discrete([(0.5, 1.0)])
     with pytest.raises(UnsupportedMeasure):
         pf.LatticeModel.from_measure(m)
+    with pytest.raises(UnsupportedMeasure):
+        pf.LatticeModel.from_measure(pf.uniform_interval(1.0, 2.0))
+    for key in (math.inf, -math.inf, math.nan):
+        with pytest.raises(UnsupportedMeasure):
+            pf.LatticeModel({key: 0.5, 1: 0.5})
 
 
 def test_model_round_trip(pm1, pm1_model):
     back = pm1_model.to_measure()
     back.validate()
     assert sorted(map(tuple, back.points.tolist())) == [(-1.0,), (1.0,)]
+
+
+def test_model_holds_one_sorted_measure():
+    unsorted = pf.IntensityMeasure.discrete([(2.0, 0.2), (-1.0, 0.3), (1.0, 0.5)])
+    for model in (pf.LatticeModel({2: 0.2, -1: 0.3, 1: 0.5}),
+                  pf.LatticeModel.from_measure(unsorted)):
+        held = model.to_measure()
+        assert held is model.to_measure()
+        fresh = pf.IntensityMeasure.discrete([(-1.0, 0.3), (1.0, 0.5), (2.0, 0.2)])
+        assert np.array_equal(held.points, fresh.points)
+        assert np.array_equal(held.masses, fresh.masses)
+        draws = [m.sample_batch(StreamConfig(seed=17).rng(), 5000) for m in (held, fresh)]
+        assert np.array_equal(*draws)
 
 
 # -- truncation ------------------------------------------------------------------
