@@ -21,8 +21,7 @@ for T in (0.5, 1.0, 2.0):
     print()
 
 print("== sharpness: the count map N_T gives equality ==")
-count_map = pf.CountFunctional(g=lambda m: float(m),
-                               batch=lambda c: c.astype(float))
+count_map = pf.CountFunctional(g=lambda counts: counts.astype(float))
 for T in (0.5, 1.0, 2.0):
     s = pf.poisson_count_stats(count_map, T, m_max=80)
     print(f"T={T}:  variance={s.variance:.12f}  energy={s.energy:.12f}  "

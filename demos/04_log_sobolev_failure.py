@@ -7,6 +7,11 @@ there is a witness breaking entropy <= C * energy.  The closed-form curve is
 cross-checked against the independent truncated-sum calculus.
 """
 
+from math import sqrt
+
+import numpy as np
+from scipy.stats import poisson
+
 import pathform as pf
 
 T = 1.0
@@ -14,12 +19,8 @@ count_m_max = 400
 
 print(f"{'m':>4} {'entropy':>12} {'energy':>10} {'ratio':>10} {'ratio (sums)':>13}")
 for m, ratio in pf.lsi_witness_curve(T, range(10, 101, 10)):
-    from math import sqrt
-
-    from scipy.stats import poisson
-
     scale = 1.0 / sqrt(float(poisson.pmf(m, T)))
-    g = pf.CountFunctional(g=lambda j, m=m, s=scale: s if j == m else 0.0)
+    g = pf.CountFunctional(g=lambda counts, m=m, s=scale: np.where(counts == m, s, 0.0))
     stats = pf.poisson_count_stats(g, T, count_m_max)
     print(f"{m:>4} {stats.entropy:12.4f} {stats.energy:10.4f} "
           f"{ratio:10.4f} {stats.entropy / stats.energy:13.4f}")

@@ -12,7 +12,10 @@ A cylindrical functional F(path) = f(path(t_1), ..., path(t_n)) sees a shift
 by x at time t only through the coordinates with t_j >= t, which is what lets
 the estimators evaluate shifted paths without rebuilding them, and the exact
 lattice routines collapse time integrals to finite sums over the coordinate
-grid.
+grid.  Each functional is one vectorized map: `f` takes the coordinates of
+many paths at once and `g` many jump counts at once, and every route (one
+path, a Monte Carlo batch, an exact grid) evaluates it through
+`_apply_rows` or `_apply_counts`.
 """
 
 from __future__ import annotations
@@ -53,16 +56,14 @@ DEFAULT_CHUNK = 1 << 16
 class CylindricalFunctional:
     """F(path) = f(path(t_1), ..., path(t_n)) with a declared sup bound.
 
-    `f` takes one argument per coordinate time: a float when d = 1, a (d,)
-    array otherwise.  `batch`, when given, must accept an (N, n) array for
-    d = 1 (or (N, n, d) in general) and return N values; it is what makes
-    the estimators fast, the scalar `f` is the fallback and the reference.
+    `f` is vectorized over paths: it takes the coordinates of N paths as an
+    (N, n) array when d = 1, or (N, n, d) in general, column j holding
+    path(t_j), and returns N values.
     """
 
     times: Tuple[float, ...]
-    f: Callable[..., float]
+    f: Callable[[np.ndarray], np.ndarray]
     bound: float = math.inf
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -80,14 +81,14 @@ class CylindricalFunctional:
 
 @dataclass(frozen=True)
 class CountFunctional:
-    """F(path) = g(total number of jumps)."""
+    """F(path) = g(total number of jumps); `g` takes an integer array of
+    counts and returns as many values."""
 
-    g: Callable[[int], float]
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    g: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def __call__(self, path: JumpPath) -> float:
-        return float(self.g(path.count_jumps()))
+        return evaluate(self, path)
 
 
 PathFunctional = Union[CylindricalFunctional, CountFunctional]
@@ -157,32 +158,33 @@ def _apply_rows(F: CylindricalFunctional, coords: np.ndarray) -> np.ndarray:
     """Evaluate f on (N, n, d) coordinate rows, enforcing the sup bound;
     NaN is never within a bound."""
     N, n, d = coords.shape
-    if F.batch is not None:
-        arg = coords[:, :, 0] if d == 1 else coords
-        vals = np.asarray(F.batch(arg), dtype=float).reshape(N)
-    elif d == 1:
-        flat = coords[:, :, 0]
-        vals = np.fromiter((F.f(*row) for row in flat), dtype=float, count=N)
-    else:
-        vals = np.fromiter((F.f(*row) for row in coords), dtype=float, count=N)
+    vals = np.asarray(F.f(coords[:, :, 0] if d == 1 else coords),
+                      dtype=float).reshape(N)
     if not np.all(np.abs(vals) <= F.bound):
         raise BoundViolation(
             f"functional {F.name or F.f!r} exceeded declared bound {F.bound}")
     return vals
 
 
-def _apply_counts(F: CountFunctional, counts: np.ndarray) -> np.ndarray:
+def _apply_counts(F: CountFunctional, counts) -> np.ndarray:
+    """Evaluate g on an integer array of jump counts."""
     counts = np.asarray(counts)
-    if F.batch is not None:
-        return np.asarray(F.batch(counts), dtype=float).reshape(len(counts))
-    return np.fromiter((F.g(int(m)) for m in counts), dtype=float,
-                       count=len(counts))
+    return np.asarray(F.g(counts), dtype=float).reshape(len(counts))
+
+
+def _coords_at(F: CylindricalFunctional, batch: PathBatch) -> np.ndarray:
+    """The batch's (B, n, d) coordinates at F's times; a functional that
+    reads past the paths' horizon is refused."""
+    if F.times[-1] > batch.horizon:
+        raise HorizonMismatch(
+            f"functional needs t={F.times[-1]} but paths end at {batch.horizon}")
+    return batch.coords_at(F.times)
 
 
 def evaluate(F: PathFunctional, path: JumpPath) -> float:
     """F at one path; BoundViolation flags a misdeclared functional."""
     if isinstance(F, CountFunctional):
-        return float(F.g(path.count_jumps()))
+        return float(_apply_counts(F, [path.count_jumps()])[0])
     if F.times[-1] > path.horizon:
         raise HorizonMismatch(
             f"functional needs t={F.times[-1]} but the path ends at {path.horizon}")
@@ -194,10 +196,7 @@ def evaluate_batch(F: PathFunctional, batch: PathBatch) -> np.ndarray:
     """F at every path of a batch, as a (B,) array."""
     if isinstance(F, CountFunctional):
         return _apply_counts(F, batch.counts)
-    if F.times[-1] > batch.horizon:
-        raise HorizonMismatch(
-            f"functional needs t={F.times[-1]} but paths end at {batch.horizon}")
-    return _apply_rows(F, batch.coords_at(F.times))
+    return _apply_rows(F, _coords_at(F, batch))
 
 
 def gamma(F: PathFunctional, G: PathFunctional, t: float, x,
@@ -214,7 +213,7 @@ def _shifted_pair_values(F: PathFunctional, sb: ShiftedBatch):
     if isinstance(F, CountFunctional):
         return (None, _apply_counts(F, sb.base.counts),
                 _apply_counts(F, sb.shifted_counts()))
-    base_coords = sb.base.coords_at(F.times)
+    base_coords = _coords_at(F, sb.base)
     vb = _apply_rows(F, base_coords)
     vs = _apply_rows(F, sb.shifted_coords(F.times, base_coords))
     return base_coords, vb, vs
@@ -310,11 +309,7 @@ def moments_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
     log, 0 log 0 = 0) over base paths."""
 
     def chunk(rng, size):
-        batch = sample_path_batch(measure, horizon, rng, size)
-        if isinstance(F, CountFunctional):
-            v = _apply_counts(F, batch.counts)
-        else:
-            v = _apply_rows(F, batch.coords_at(F.times))
+        v = evaluate_batch(F, sample_path_batch(measure, horizon, rng, size))
         sq = v * v
         return [v, sq, xlogy(sq, sq)]
 
@@ -396,9 +391,8 @@ def generator_apply(F: PathFunctional, path: JumpPath, model,
     T = float(horizon)
     if isinstance(F, CountFunctional):
         n = path.count_jumps()
-        up = F.g(n + 1) - F.g(n)
-        down = n * (F.g(n - 1) - F.g(n)) / T if n > 0 else 0.0
-        return float(up + down)
+        below, at, above = _apply_counts(F, [max(n - 1, 0), n, n + 1])
+        return float((above - at) + n * (below - at) / T)
     base = evaluate(F, path)
     first = 0.0
     for key, w in model.pmf.items():
@@ -426,13 +420,9 @@ def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
     T = float(horizon)
     if isinstance(F, CountFunctional):
         c = batch.counts
-        up = _apply_counts(F, c + 1) - _apply_counts(F, c)
-        down = np.zeros(len(c))
-        pos = c > 0
-        if pos.any():
-            down[pos] = c[pos] * (_apply_counts(F, c[pos] - 1)
-                                  - _apply_counts(F, c[pos])) / T
-        return up + down
+        at = _apply_counts(F, c)
+        return ((_apply_counts(F, c + 1) - at)
+                + c * (_apply_counts(F, np.maximum(c - 1, 0)) - at) / T)
     times = np.asarray(F.times)
     deltas = np.diff(np.concatenate([[0.0], times]))
     first = np.zeros(batch.size)
@@ -487,15 +477,13 @@ def coordinate(time: float, lo: Optional[float] = None,
     """Value of the path at one time (d = 1), optionally clipped to [lo, hi]."""
     if lo is None and hi is None:
         return CylindricalFunctional(
-            times=(time,), f=lambda a: float(a),
-            batch=lambda c: np.asarray(c[:, 0], dtype=float),
+            times=(time,), f=lambda c: c[:, 0],
             bound=bound, name=name or f"coord@{time}")
     lo = -math.inf if lo is None else float(lo)
     hi = math.inf if hi is None else float(hi)
     b = max(abs(v) for v in (lo, hi) if math.isfinite(v))
     return CylindricalFunctional(
-        times=(time,), f=lambda a: float(min(max(a, lo), hi)),
-        batch=lambda c: np.clip(c[:, 0], lo, hi),
+        times=(time,), f=lambda c: np.clip(c[:, 0], lo, hi),
         bound=min(bound, b), name=name or f"clip[{lo},{hi}]@{time}")
 
 
@@ -503,8 +491,7 @@ def indicator_at(time: float, value: float, name: str = "") -> CylindricalFuncti
     """1 when the path equals `value` exactly at `time` (d = 1, lattice use)."""
     v = float(value)
     return CylindricalFunctional(
-        times=(time,), f=lambda a: 1.0 if a == v else 0.0,
-        batch=lambda c: (c[:, 0] == v).astype(float),
+        times=(time,), f=lambda c: (c[:, 0] == v).astype(float),
         bound=1.0, name=name or f"ind[{v}]@{time}")
 
 
@@ -515,10 +502,7 @@ def product_indicator(times: Sequence[float], values: Sequence[float],
     if len(vals) != len(times):
         raise UnsortedTimes("times and values must have equal length")
 
-    def scalar(*coords):
-        return 1.0 if all(c == v for c, v in zip(coords, vals)) else 0.0
-
-    def batch(c):
+    def f(c):
         # one test per column: the same booleans as np.all(c == vals, axis=1)
         hit = c[:, 0] == vals[0]
         for j in range(1, len(vals)):
@@ -526,13 +510,11 @@ def product_indicator(times: Sequence[float], values: Sequence[float],
         return hit.astype(float)
 
     return CylindricalFunctional(
-        times=tuple(times), f=scalar, batch=batch,
-        bound=1.0, name=name or f"prod_ind@{list(times)}")
+        times=tuple(times), f=f, bound=1.0, name=name or f"prod_ind@{list(times)}")
 
 
 def capped_count(cap: int, name: str = "") -> CountFunctional:
     """min(number of jumps, cap)."""
     cap = int(cap)
-    return CountFunctional(g=lambda m: float(min(m, cap)),
-                           batch=lambda c: np.minimum(c, cap).astype(float),
+    return CountFunctional(g=lambda c: np.minimum(c, cap).astype(float),
                            name=name or f"count^{cap}")

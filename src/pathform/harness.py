@@ -165,14 +165,19 @@ def _canonical_measure_spec(spec, problems: list) -> dict:
     return out
 
 
-def _positive_finite(val) -> bool:
-    """A JSON number (not a bool) in (0, inf) as a float; NaN fails."""
+def _finite_number(val) -> bool:
+    """A JSON number (not a bool) that is finite as a float; NaN fails."""
     if not isinstance(val, (int, float)) or isinstance(val, bool):
         return False
     try:
-        return 0 < float(val) < math.inf
+        return math.isfinite(val)
     except OverflowError:  # an int past the float range
         return False
+
+
+def _positive_finite(val) -> bool:
+    """A JSON number (not a bool) in (0, inf) as a float; NaN fails."""
+    return _finite_number(val) and val > 0
 
 
 def config_from_dict(obj: dict) -> RunConfig:
@@ -226,6 +231,11 @@ def config_from_dict(obj: dict) -> RunConfig:
                 for key in extra:
                     if key not in DEFAULT_PARAMS[suite]:
                         problems.append((f"params.{suite}.{key}", "unknown parameter"))
+        qi = params.get("qi")
+        ks = qi.get("ks", []) if isinstance(qi, dict) else []
+        if not isinstance(ks, list) or not all(_finite_number(k) for k in ks):
+            problems.append(("params.qi.ks",
+                             f"must be a list of finite numbers, got {ks!r}"))
 
     out = obj.get("out")
     if out is not None and not isinstance(out, str):
@@ -346,16 +356,13 @@ def lattice_corpus(T: float) -> List[CylindricalFunctional]:
     """Bounded cylindrical functionals on one to three coordinates, mixing
     degenerate (constant), equality-attaining and generic cases."""
     const = CylindricalFunctional(
-        times=(T,), f=lambda a: 0.7,
-        batch=lambda c: np.full(len(c), 0.7), bound=0.7, name="const")
+        times=(T,), f=lambda c: np.full(len(c), 0.7), bound=0.7, name="const")
     eq2 = CylindricalFunctional(
-        times=(T / 2, T), f=lambda a, b: 1.0 if a == b else 0.0,
-        batch=lambda c: (c[:, 0] == c[:, 1]).astype(float),
+        times=(T / 2, T), f=lambda c: (c[:, 0] == c[:, 1]).astype(float),
         bound=1.0, name="flat_tail")
     mono3 = CylindricalFunctional(
         times=(T / 4, T / 2, T),
-        f=lambda a, b, c: 1.0 if a <= b <= c else 0.0,
-        batch=lambda c: ((c[:, 0] <= c[:, 1]) & (c[:, 1] <= c[:, 2])).astype(float),
+        f=lambda c: ((c[:, 0] <= c[:, 1]) & (c[:, 1] <= c[:, 2])).astype(float),
         bound=1.0, name="monotone3")
     return [const,
             indicator_at(T, 0.0, name="ind0_end"),
@@ -366,32 +373,29 @@ def lattice_corpus(T: float) -> List[CylindricalFunctional]:
             mono3]
 
 
-def continuous_corpus(T: float) -> List[CylindricalFunctional]:
-    cos12 = CylindricalFunctional(
-        times=(T / 2, T), f=lambda a, b: math.cos(a + 2.0 * b),
-        batch=lambda c: np.cos(c[:, 0] + 2.0 * c[:, 1]),
+def _cos12(T: float) -> CylindricalFunctional:
+    """cos(X_{T/2} + 2 X_T): smooth, and 3-Lipschitz in the sup distance."""
+    return CylindricalFunctional(
+        times=(T / 2, T), f=lambda c: np.cos(c[:, 0] + 2.0 * c[:, 1]),
         bound=1.0, name="cos12")
+
+
+def continuous_corpus(T: float) -> List[CylindricalFunctional]:
     window = CylindricalFunctional(
         times=(T / 2, T),
-        f=lambda a, b: 1.0 if (a <= 1.5 and b >= 2.0) else 0.0,
-        batch=lambda c: ((c[:, 0] <= 1.5) & (c[:, 1] >= 2.0)).astype(float),
+        f=lambda c: ((c[:, 0] <= 1.5) & (c[:, 1] >= 2.0)).astype(float),
         bound=1.0, name="window")
-    return [coordinate(T, lo=0.0, hi=3.0, name="clip3_end"), cos12, window]
+    return [coordinate(T, lo=0.0, hi=3.0, name="clip3_end"), _cos12(T), window]
 
 
 def lipschitz_corpus(T: float) -> List[Tuple[CylindricalFunctional, float]]:
     """(functional, Lipschitz constant w.r.t. the sup distance) pairs."""
     atan_end = CylindricalFunctional(
-        times=(T,), f=lambda a: math.atan(a),
-        batch=lambda c: np.arctan(c[:, 0]),
+        times=(T,), f=lambda c: np.arctan(c[:, 0]),
         bound=math.pi / 2, name="atan_end")
-    cos12 = CylindricalFunctional(
-        times=(T / 2, T), f=lambda a, b: math.cos(a + 2.0 * b),
-        batch=lambda c: np.cos(c[:, 0] + 2.0 * c[:, 1]),
-        bound=1.0, name="cos12")
     return [(coordinate(T, lo=0.0, hi=3.0, name="clip3_end"), 1.0),
             (atan_end, 1.0),
-            (cos12, 3.0)]
+            (_cos12(T), 3.0)]
 
 
 def functional_from_spec(spec: dict, T: float):
@@ -471,13 +475,16 @@ def _suite_qi(cfg: RunConfig) -> Report:
     rows: List[CheckRow] = []
     model = _lattice_model(cfg, measure)
     if model is not None:
+        try:
+            ks = [k for k in cfg.suite_params("qi")["ks"] if model.mass(k) > 0.0]
+        except UnsupportedMeasure as exc:
+            raise ConfigError([("params.qi.ks", f"the marks of a lattice measure "
+                                                f"are lattice points: {exc}")])
         corpus = _resolve_corpus(cfg, "qi")
         for F in corpus:
             if isinstance(F, CountFunctional):
                 continue  # the exact pipelines are for cylindrical functionals
-            for k in cfg.suite_params("qi")["ks"]:
-                if model.mass(k) <= 0.0:
-                    continue
+            for k in ks:
                 lhs, rhs = qi_check(model, cfg.T, F, k)
                 rows.append(_exact_row(f"qi_exact[{F.name},k={k:+g}]",
                                        ANCHORS["qi_exact"], lhs, rhs,
@@ -508,8 +515,7 @@ def _suite_poincare(cfg: RunConfig) -> Report:
             diff=excess, threshold=cfg.tol("poincare"),
             passed=excess <= cfg.tol("poincare")))
     params = cfg.suite_params("poincare")
-    identity = CountFunctional(g=lambda m: float(m),
-                               batch=lambda c: c.astype(float), name="count")
+    identity = CountFunctional(g=lambda c: c.astype(float), name="count")
     for horizon in params["sharpness_horizons"]:
         stats = poisson_count_stats(identity, horizon, params["count_m_max"])
         rows.append(_exact_row(f"sharp_variance[T={horizon:g}]",
@@ -598,10 +604,8 @@ def _suite_smalltime(cfg: RunConfig) -> Report:
 
 def _witness(m: int, horizon: float) -> CountFunctional:
     scale = 1.0 / math.sqrt(float(poisson.pmf(m, horizon)))
-    return CountFunctional(
-        g=lambda j: scale if j == m else 0.0,
-        batch=lambda c: np.where(c == m, scale, 0.0),
-        name=f"norm_ind[N={m}]")
+    return CountFunctional(g=lambda c: np.where(c == m, scale, 0.0),
+                           name=f"norm_ind[N={m}]")
 
 
 def _suite_lsi(cfg: RunConfig) -> Report:

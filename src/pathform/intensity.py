@@ -98,7 +98,11 @@ class IntensityMeasure:
     def discrete(cls, atoms: Sequence, dimension: Optional[int] = None,
                  origin_flagged: bool = False) -> "IntensityMeasure":
         """Build from `[(point, mass), ...]`; points may be scalars for d=1."""
-        pts = np.asarray([np.atleast_1d(p) for p, _ in atoms], dtype=float)
+        rows = [np.atleast_1d(p) for p, _ in atoms]
+        shapes = {r.shape for r in rows}
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"atom points differ in shape: {sorted(shapes)}")
+        pts = np.asarray(rows, dtype=float)
         ms = np.asarray([m for _, m in atoms], dtype=float)
         pts = pts.reshape(len(ms), -1) if len(ms) else pts.reshape(0, dimension or 1)
         if dimension is None:

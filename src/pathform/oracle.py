@@ -36,7 +36,7 @@ from .errors import (
     UnsortedTimes,
     UnsupportedMeasure,
 )
-from .functional import CountFunctional, CylindricalFunctional, _apply_rows
+from .functional import CountFunctional, CylindricalFunctional, _apply_counts, _apply_rows
 from .intensity import IntensityMeasure
 
 LatticePoint = Tuple[int, ...]
@@ -616,7 +616,7 @@ class CountStats(NamedTuple):
     entropy: float
 
 
-def poisson_count_stats(g, horizon: float, m_max: int,
+def poisson_count_stats(g: CountFunctional, horizon: float, m_max: int,
                         tol: float = 1e-9) -> CountStats:
     """Exact truncated statistics of g(N) for N ~ Poisson(T).
 
@@ -624,7 +624,7 @@ def poisson_count_stats(g, horizon: float, m_max: int,
     almost surely, so the squared shift difference of g(N) is exactly the
     forward-difference square, and the combined shift-time and mark
     integrations contribute total weight one.  Entropy uses natural log with
-    0 log 0 = 0.
+    0 log 0 = 0.  `g` is evaluated once, on the counts 0..m_max + 17.
 
     The truncation guard is a heuristic, not a bound: it reads |g| only on
     the 17 counts past m_max, so a g that grows faster further out can
@@ -633,12 +633,11 @@ def poisson_count_stats(g, horizon: float, m_max: int,
     # comparisons written so that NaN fails them
     if not 0 <= horizon < math.inf:
         raise TimeOutOfRange(f"horizon must be finite and >= 0, got {horizon}")
-    gg = g.g if isinstance(g, CountFunctional) else g
     m_max = int(m_max)
+    values = _apply_counts(g, np.arange(m_max + 18))
     # heuristic tail estimate: the worst |g| on a 17-term window past the
     # cutoff, weighted by the Poisson tail; g beyond the window is not seen
-    probe = np.abs([float(gg(m)) for m in range(m_max + 1, m_max + 18)])
-    worst = float(np.max(probe))
+    worst = float(np.max(np.abs(values[m_max + 1:])))
     wsq = worst * worst
     tail = float(poisson.sf(m_max, horizon))
     est = tail * max(1.0, worst, 4.0 * wsq,
@@ -647,7 +646,6 @@ def poisson_count_stats(g, horizon: float, m_max: int,
         raise TruncationTooCoarse(
             f"heuristic tail estimate {est:.3e} (|g| probed on "
             f"{m_max + 1}..{m_max + 17} only) exceeds {tol:.3e}; raise m_max")
-    values = np.asarray([float(gg(m)) for m in range(m_max + 2)])
     pm = poisson.pmf(np.arange(m_max + 2), horizon)
     head, ph = values[:m_max + 1], pm[:m_max + 1]
     mean = float(np.dot(ph, head))

@@ -76,7 +76,7 @@ def test_criterion_03_poincare_inequality():
 
 
 def test_criterion_04_poincare_sharpness():
-    g = pf.CountFunctional(g=lambda m: float(m), batch=lambda c: c.astype(float))
+    g = pf.CountFunctional(g=lambda c: c.astype(float))
     worst = 0.0
     for T in (0.5, 1.0, 2.0):
         s = pf.poisson_count_stats(g, T, 80)

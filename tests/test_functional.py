@@ -17,8 +17,7 @@ from pathform.sampler import sample_path_batch
 
 
 def const_f(value=0.7, t=1.0):
-    return CylindricalFunctional(times=(t,), f=lambda a: value,
-                                 batch=lambda c: np.full(len(c), value),
+    return CylindricalFunctional(times=(t,), f=lambda c: np.full(len(c), value),
                                  bound=abs(value), name="const")
 
 
@@ -46,14 +45,15 @@ def test_shift_after_last_coordinate_invisible():
 
 
 def test_bound_violation_detected():
-    F = CylindricalFunctional(times=(1.0,), f=lambda a: a, bound=0.5)
+    F = CylindricalFunctional(times=(1.0,), f=lambda c: c[:, 0], bound=0.5)
     p = JumpPath.from_jumps(1.0, [(0.5, 2.0)])
     with pytest.raises(BoundViolation):
         pf.evaluate(F, p)
 
 
 def test_nan_is_a_bound_violation(pm1_model):
-    F = CylindricalFunctional(times=(1.0,), f=lambda a: math.nan, name="nan")
+    F = CylindricalFunctional(times=(1.0,), f=lambda c: np.full(len(c), math.nan),
+                              name="nan")
     with pytest.raises(BoundViolation):
         pf.evaluate(F, JumpPath.empty(1.0))
     with pytest.raises(BoundViolation):
@@ -64,7 +64,7 @@ def test_nan_is_a_bound_violation(pm1_model):
                                    (0.0,), (0.5, 0.5), (1.0, 0.5)])
 def test_unsorted_or_nan_times_refused(times):
     with pytest.raises(UnsortedTimes):
-        CylindricalFunctional(times=times, f=lambda *a: 0.0, bound=0.0)
+        CylindricalFunctional(times=times, f=lambda c: np.zeros(len(c)), bound=0.0)
     with pytest.raises(UnsortedTimes):
         pf.product_indicator(times, [0.0] * len(times))
     if len(times) == 1:
@@ -79,8 +79,8 @@ def test_product_indicator_batch_equals_scalar(n):
     F = pf.product_indicator(tuple(0.2 * (j + 1) for j in range(n)), values)
     rows = rng.integers(-1, 2, size=(4000, n)).astype(float)
     rows[::7] = values  # make sure hits occur at every n
-    want = np.array([F.f(*row) for row in rows])
-    got = F.batch(rows[:, :, None][:, :, 0])  # the strided view _apply_rows passes
+    want = np.all(rows == values, axis=1).astype(float)
+    got = F.f(rows[:, :, None][:, :, 0])  # the strided view _apply_rows passes
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got.sum() > 0
 
@@ -88,6 +88,17 @@ def test_product_indicator_batch_equals_scalar(n):
 def test_horizon_mismatch():
     with pytest.raises(HorizonMismatch):
         pf.evaluate(pf.coordinate(2.0), JumpPath.empty(1.0))
+
+
+def _pairing_mc(F, measure, T, n, cfg):
+    return pf.pairing_mc(F, F, pf.LatticeModel.from_measure(measure), T, n, cfg)
+
+
+@pytest.mark.parametrize("estimator", [pf.qi_mc, pf.energy_mc, pf.moments_mc, _pairing_mc],
+                         ids=["qi_mc", "energy_mc", "moments_mc", "pairing_mc"])
+def test_estimators_refuse_times_past_horizon(pm1, estimator):
+    with pytest.raises(HorizonMismatch):
+        estimator(pf.indicator_at(2.0, 0.0), pm1, 1.0, 2000, StreamConfig(seed=1))
 
 
 def test_count_functional_evaluate():
@@ -131,7 +142,7 @@ def test_gamma_symmetry(pm1):
 
 def test_shift_within_interval_constant(pm1):
     F = CylindricalFunctional(
-        times=(0.4, 0.8), f=lambda a, b: float(a - 2 * b), bound=math.inf)
+        times=(0.4, 0.8), f=lambda c: c[:, 0] - 2 * c[:, 1], bound=math.inf)
     rng = StreamConfig(seed=5).rng()
     for _ in range(50):
         p = pf.sample_path(pm1, 1.0, rng)
@@ -157,8 +168,7 @@ def test_energy_deterministic_integrand():
 
 def test_energy_mc_matches_exact(pm1, pm1_model):
     F = CylindricalFunctional(
-        times=(0.5, 1.0), f=lambda a, b: 1.0 if (a == 0 and b == 0) else 0.0,
-        batch=lambda c: ((c[:, 0] == 0) & (c[:, 1] == 0)).astype(float),
+        times=(0.5, 1.0), f=lambda c: ((c[:, 0] == 0) & (c[:, 1] == 0)).astype(float),
         bound=1.0)
     est = pf.energy_mc(F, pm1, 1.0, 200_000, StreamConfig(seed=8))
     exact = pf.exact_energy(pm1_model, 1.0, F)
@@ -177,8 +187,7 @@ def test_estimator_level_poincare(pm1, pm1_model):
 # -- moments ---------------------------------------------------------------------------
 
 def test_moments_of_constant_one(pm1):
-    one = CylindricalFunctional(times=(1.0,), f=lambda a: 1.0,
-                                batch=lambda c: np.ones(len(c)), bound=1.0)
+    one = CylindricalFunctional(times=(1.0,), f=lambda c: np.ones(len(c)), bound=1.0)
     mo = pf.moments_mc(one, pm1, 1.0, 5000, StreamConfig(seed=10))
     assert (mo.mean.mean, mo.second_moment.mean, mo.entropy.mean) == (1.0, 1.0, 0.0)
     assert (mo.mean.stderr, mo.second_moment.stderr, mo.entropy.stderr) == (0.0, 0.0, 0.0)
@@ -194,8 +203,7 @@ def test_capped_count_variance(pm1):
 
 def test_normalized_entropy_nonnegative(pm1):
     scale = 1.0 / math.sqrt(math.exp(-1.0))  # normalizes 1{N = 1}
-    F = pf.CountFunctional(g=lambda m: scale if m == 1 else 0.0,
-                           batch=lambda c: np.where(c == 1, scale, 0.0))
+    F = pf.CountFunctional(g=lambda c: np.where(c == 1, scale, 0.0))
     mo = pf.moments_mc(F, pm1, 1.0, 100_000, StreamConfig(seed=12))
     assert mo.entropy.mean >= -4.0 * mo.entropy.stderr
 
@@ -242,7 +250,7 @@ def test_generator_indicator_on_empty(pm1_model):
 
 
 def test_generator_count_functional(pm1_model):
-    g = pf.CountFunctional(g=lambda m: float(m * m))
+    g = pf.CountFunctional(g=lambda c: (c * c).astype(float))
     p = JumpPath.from_jumps(1.0, [(0.3, 1.0), (0.6, -1.0)])
     # insertion: (n+1)^2 - n^2; removal: n * ((n-1)^2 - n^2) / T at n = 2
     expected = (9 - 4) + 2 * (1 - 4) / 1.0
@@ -251,8 +259,7 @@ def test_generator_count_functional(pm1_model):
 
 def test_generator_batch_matches_per_path(pm1, pm1_model):
     F = CylindricalFunctional(
-        times=(0.25, 0.75), f=lambda a, b: 1.0 if a <= b else 0.0,
-        batch=lambda c: (c[:, 0] <= c[:, 1]).astype(float), bound=1.0)
+        times=(0.25, 0.75), f=lambda c: (c[:, 0] <= c[:, 1]).astype(float), bound=1.0)
     batch = sample_path_batch(pm1, 1.0, StreamConfig(seed=14).rng(), 100)
     coords = batch.coords_at(F.times)
     vals = _generator_values_batch(F, batch, pm1_model, 1.0, coords, _apply_rows(F, coords))
@@ -261,11 +268,18 @@ def test_generator_batch_matches_per_path(pm1, pm1_model):
         assert math.isclose(vals[i], direct, rel_tol=0, abs_tol=1e-12)
 
 
+def test_count_generator_batch_matches_per_path(pm1, pm1_model):
+    g = pf.CountFunctional(g=lambda c: (c * c).astype(float) - 3.5 * c)
+    batch = sample_path_batch(pm1, 2.0, StreamConfig(seed=23).rng(), 100)
+    vals = _generator_values_batch(g, batch, pm1_model, 2.0, None, None)
+    for i in range(0, 100, 9):
+        assert vals[i] == pf.generator_apply(g, batch.path(i), pm1_model, 2.0)
+
+
 # -- pairing ---------------------------------------------------------------------------------
 
 def test_pairing_zero_functional(pm1_model):
-    zero = CylindricalFunctional(times=(1.0,), f=lambda a: 0.0,
-                                 batch=lambda c: np.zeros(len(c)), bound=0.0)
+    zero = CylindricalFunctional(times=(1.0,), f=lambda c: np.zeros(len(c)), bound=0.0)
     res = pf.pairing_mc(ind0(), zero, pm1_model, 1.0, 5000, StreamConfig(seed=15))
     assert res.form.mean == 0.0
     assert res.pairing_fg.mean == 0.0

@@ -43,10 +43,30 @@ def test_continuous_batch_stream_pinned():
 @pytest.mark.parametrize("suite, digest", [
     ("qi", "560490929e8ed66b8a47750b8649b7a3e7b9ca4878cba27d6b78758e06a51e12"),
     ("generator", "2ee624ca502205278069326c7eb4e83c40019c69a2e07a49e3d8ceda04ce5944"),
+    ("poincare", "8fdf0e1d13c440ec94ee8c24d1523ff189140cbc7725f35bb8cd4e34e2240efc"),
+    ("semigroup", "24950c3daf13d7fa277e6cb89f5376c2391c224966018268a88c6dd4a03df7bb"),
+    ("smalltime", "89ae6372a8e644d3fe6f3ae66fcbb230d78e8bb3c377f45c6c2d1c92ba0bb62b"),
+    ("lsi", "23586f365eabbd1fcb4a0a293e3126be6a22899e1c2e168daf0d4efe0d35414e"),
+    ("coupling", "ef928aa553cb89cff0ccbc02d7aa95378a5ff46f8e9d397c4b5b20853472dded"),
+    ("sample", "15945258c024f80f1a2186b77c50fcbe9732029112d2ce2d45192cc3691f69be"),
 ])
 def test_report_digest_pinned(suite, digest):
     cfg = default_config(samples=20000,
                          params={"generator": {"rank_samples": 20000}})
+    report = run_suite(suite, cfg)
+    assert report.overall_pass
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+# qi falls back to its continuous corpus here and coupling reads the
+# Lipschitz corpus, so these pins cover the functionals the lattice ones miss
+@pytest.mark.parametrize("suite, digest", [
+    ("qi", "75086e0896570a2c338a3da9a346333527da0a5a68f1eff9a89cc7a2e40c120d"),
+    ("coupling", "fb98e5d8ae067f95125da6c8158874e2e172e7f66c85827b79cca97a7bbdba24"),
+])
+def test_continuous_report_digest_pinned(suite, digest):
+    cfg = default_config(measure={"builtin": "gauss_shifted(0.5,1)"},
+                         samples=20000)
     report = run_suite(suite, cfg)
     assert report.overall_pass
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

@@ -130,6 +130,38 @@ def test_invalid_measure_is_refused_not_rerouted(tmp_path, capsys):
     assert "measure.atoms" in capsys.readouterr().err
 
 
+RAGGED = {"type": "discrete", "atoms": [[[1, 0], 0.5], [[1], 0.5]]}
+
+
+def test_ragged_atoms_are_a_config_error(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        pf.config_from_dict({"measure": RAGGED})
+    assert [field for field, _ in err.value.fields] == ["measure.atoms"]
+    spec = tmp_path / "ragged.json"
+    spec.write_text(json.dumps({"measure": RAGGED}))
+    assert cli.main(["sample", "--config", str(spec)]) == 2
+    assert "measure.atoms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks", ["ab", [float("nan")], [1.0, None], [True]],
+                         ids=["string", "nan", "null", "bool"])
+def test_qi_ks_must_be_a_list_of_finite_numbers(ks):
+    with pytest.raises(ConfigError) as err:
+        small_cfg(params={"qi": {"ks": ks}})
+    assert [field for field, _ in err.value.fields] == ["params.qi.ks"]
+
+
+def test_qi_ks_off_the_lattice_is_a_config_error(tmp_path, capsys):
+    cfg = small_cfg(params={"qi": {"ks": [0.5]}})
+    with pytest.raises(ConfigError) as err:
+        pf.run_suite("qi", cfg)
+    assert [field for field, _ in err.value.fields] == ["params.qi.ks"]
+    spec = tmp_path / "ks.json"
+    spec.write_text(json.dumps({"samples": 2000, "params": {"qi": {"ks": [0.5]}}}))
+    assert cli.main(["qi", "--config", str(spec)]) == 2
+    assert "params.qi.ks" in capsys.readouterr().err
+
+
 def test_qi_falls_back_to_monte_carlo_only_off_the_lattice():
     half = {"type": "discrete", "atoms": [[[0.5], 0.5], [[-0.5], 0.5]]}
     rep = pf.run_suite("qi", small_cfg(measure=half))

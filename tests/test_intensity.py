@@ -64,6 +64,11 @@ def test_validate_dimension_mismatch():
         pf.IntensityMeasure.discrete([((1.0, 0.0), 1.0)], dimension=3)
 
 
+def test_ragged_atoms_are_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        pf.IntensityMeasure.discrete([((1.0, 0.0), 0.5), ((1.0,), 0.5)])
+
+
 def test_sample_support_membership(pm1):
     rng = pf.StreamConfig(seed=11).rng()
     draws = pm1.sample_batch(rng, 1000)

@@ -25,8 +25,7 @@ def model2():
 def cross_f():
     return CylindricalFunctional(
         times=(0.5, 1.0),
-        f=lambda a, b: 1.0 if (a[0] == 0 and b[1] == 0) else 0.0,
-        batch=lambda c: ((c[:, 0, 0] == 0) & (c[:, 1, 1] == 0)).astype(float),
+        f=lambda c: ((c[:, 0, 0] == 0) & (c[:, 1, 1] == 0)).astype(float),
         bound=1.0, name="cross")
 
 
@@ -135,8 +134,7 @@ def test_qi_check_asymmetric(skew_model):
 
 
 def test_count_mean_asymmetric(skew_model):
-    one = CylindricalFunctional(times=(1.0,), f=lambda a: 1.0,
-                                batch=lambda c: np.ones(len(c)), bound=1.0)
+    one = CylindricalFunctional(times=(1.0,), f=lambda c: np.ones(len(c)), bound=1.0)
     assert abs(pf.expect_with_count(skew_model, 1.0, one, -2) - 0.3) <= 1e-10
 
 

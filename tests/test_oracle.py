@@ -23,8 +23,7 @@ from pathform.sampler import sample_path_batch
 
 def two_coord_f(T=1.0):
     return CylindricalFunctional(
-        times=(T / 2, T), f=lambda a, b: 1.0 if (a == 0 and b == 0) else 0.0,
-        batch=lambda c: ((c[:, 0] == 0) & (c[:, 1] == 0)).astype(float),
+        times=(T / 2, T), f=lambda c: ((c[:, 0] == 0) & (c[:, 1] == 0)).astype(float),
         bound=1.0, name="prod00")
 
 
@@ -243,8 +242,7 @@ def test_convolution_powers_refuse_a_box_over_budget():
 # -- chained expectations -------------------------------------------------------------
 
 def test_expect_constant(pm1_model):
-    c = CylindricalFunctional(times=(1.0,), f=lambda a: 3.25,
-                              batch=lambda v: np.full(len(v), 3.25), bound=3.25)
+    c = CylindricalFunctional(times=(1.0,), f=lambda v: np.full(len(v), 3.25), bound=3.25)
     got = pf.expect_cylindrical(pm1_model, 1.0, c)
     assert abs(got - 3.25) <= 3.25 * 1e-11  # off only by the certified tail
 
@@ -329,27 +327,20 @@ def _reference_with_count(grid, F, k):
     return main + tail * float(np.dot(grid.weights, vals))
 
 
-def _unbatched(F):
-    return CylindricalFunctional(times=F.times, f=F.f, bound=F.bound,
-                                 name=F.name + "_rows")
-
-
 def _d1_functionals(T):
     corpus = {F.name: F for F in pf.harness.lattice_corpus(T)}
-    return [corpus["monotone3"], corpus["flat_tail"], _unbatched(corpus["flat_tail"])]
+    return [corpus["monotone3"], corpus["flat_tail"]]
 
 
 def _d2_functionals(T):
     cross = CylindricalFunctional(
-        times=(T / 2, T), f=lambda a, b: 1.0 if (a[0] == 0 and b[1] == 0) else 0.0,
-        batch=lambda c: ((c[:, 0, 0] == 0) & (c[:, 1, 1] == 0)).astype(float),
+        times=(T / 2, T), f=lambda c: ((c[:, 0, 0] == 0) & (c[:, 1, 1] == 0)).astype(float),
         bound=1.0, name="cross")
     ordered = CylindricalFunctional(
         times=(T / 4, T / 2, T),
-        f=lambda a, b, c: 1.0 if a[0] <= b[0] <= c[1] else 0.0,
-        batch=lambda c: ((c[:, 0, 0] <= c[:, 1, 0]) & (c[:, 1, 0] <= c[:, 2, 1])).astype(float),
+        f=lambda c: ((c[:, 0, 0] <= c[:, 1, 0]) & (c[:, 1, 0] <= c[:, 2, 1])).astype(float),
         bound=1.0, name="ordered")
-    return [cross, _unbatched(cross), ordered]
+    return [cross, ordered]
 
 
 SHIFT_CASES = [
@@ -463,8 +454,7 @@ def test_count_weighted_pmf_mecke_property(model, s, pick):
 
 
 def test_expect_with_count_of_one(pm1_model):
-    one = CylindricalFunctional(times=(0.6,), f=lambda a: 1.0,
-                                batch=lambda c: np.ones(len(c)), bound=1.0)
+    one = CylindricalFunctional(times=(0.6,), f=lambda c: np.ones(len(c)), bound=1.0)
     for T in (1.0, 2.0):
         got = pf.expect_with_count(pm1_model, T, one, 1)
         assert abs(got - T * 0.5) <= 1e-10
@@ -491,8 +481,7 @@ def test_expect_with_count_vs_mc(pm1, pm1_model):
 # -- shifted-law identity -------------------------------------------------------------------
 
 def test_qi_check_constant(pm1_model):
-    one = CylindricalFunctional(times=(0.5,), f=lambda a: 1.0,
-                                batch=lambda c: np.ones(len(c)), bound=1.0)
+    one = CylindricalFunctional(times=(0.5,), f=lambda c: np.ones(len(c)), bound=1.0)
     lhs, rhs = pf.qi_check(pm1_model, 1.0, one, 1)
     assert abs(lhs - 1.0) <= 1e-10 and abs(rhs - 1.0) <= 1e-10
 
@@ -510,8 +499,7 @@ def test_qi_check_two_coordinates(pm1_model):
 # -- variance/energy inequality ----------------------------------------------------------------
 
 def test_poincare_constant_degenerate(pm1_model):
-    c = CylindricalFunctional(times=(1.0,), f=lambda a: 0.7,
-                              batch=lambda v: np.full(len(v), 0.7), bound=0.7)
+    c = CylindricalFunctional(times=(1.0,), f=lambda v: np.full(len(v), 0.7), bound=0.7)
     variance, bound = pf.poincare_check(pm1_model, 1.0, c)
     assert abs(variance) <= 1e-12 and abs(bound) <= 1e-12
 
@@ -662,7 +650,7 @@ def test_small_time_unsupported_point_vanishes(pm1_model):
 # -- count-variable calculus ---------------------------------------------------------------------------
 
 def test_count_stats_identity_map():
-    g = pf.CountFunctional(g=lambda m: float(m), batch=lambda c: c.astype(float))
+    g = pf.CountFunctional(g=lambda c: c.astype(float))
     for T in (0.5, 1.0, 2.0):
         s = pf.poisson_count_stats(g, T, 80)
         assert abs(s.mean - T) <= 1e-10
@@ -671,7 +659,7 @@ def test_count_stats_identity_map():
 
 
 def test_count_stats_constant():
-    g = pf.CountFunctional(g=lambda m: 1.0, batch=lambda c: np.ones(len(c)))
+    g = pf.CountFunctional(g=lambda c: np.ones(len(c)))
     s = pf.poisson_count_stats(g, 1.0, 60)
     assert abs(s.variance) <= 1e-12
     assert s.energy == 0.0
@@ -683,8 +671,7 @@ def test_count_stats_normalized_indicator():
     # entropy 1 + log(10!)
     p10 = float(stats.poisson.pmf(10, 1.0))
     scale = 1.0 / math.sqrt(p10)
-    g = pf.CountFunctional(g=lambda m: scale if m == 10 else 0.0,
-                           batch=lambda c: np.where(c == 10, scale, 0.0))
+    g = pf.CountFunctional(g=lambda c: np.where(c == 10, scale, 0.0))
     s = pf.poisson_count_stats(g, 1.0, 200)
     assert abs(s.second - 1.0) <= 1e-10
     assert abs(s.energy - 11.0) <= 1e-9
@@ -692,7 +679,7 @@ def test_count_stats_normalized_indicator():
 
 
 def test_count_stats_truncation_guard():
-    g = pf.CountFunctional(g=lambda m: float(m))
+    g = pf.CountFunctional(g=lambda c: c.astype(float))
     with pytest.raises(TruncationTooCoarse):
         pf.poisson_count_stats(g, 2.0, 3)
 
@@ -700,7 +687,8 @@ def test_count_stats_truncation_guard():
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
 def test_count_stats_refuses_bad_horizon(horizon):
     with pytest.raises(TimeOutOfRange):
-        pf.poisson_count_stats(lambda m: float(m), horizon, 20)
+        pf.poisson_count_stats(pf.CountFunctional(g=lambda c: c.astype(float)),
+                               horizon, 20)
 
 
 def test_count_stats_vs_mc(pm1):
@@ -724,7 +712,7 @@ def test_witness_curve_matches_count_stats():
     for m in (10, 50):
         p = float(stats.poisson.pmf(m, 1.0))
         scale = 1.0 / math.sqrt(p)
-        g = pf.CountFunctional(g=lambda j, m=m, scale=scale: scale if j == m else 0.0)
+        g = pf.CountFunctional(g=lambda c, m=m, scale=scale: np.where(c == m, scale, 0.0))
         s = pf.poisson_count_stats(g, 1.0, 200)
         assert abs(pf.witness_ratio(1.0, m) - s.entropy / s.energy) <= 1e-9
 
