@@ -263,15 +263,14 @@ def _merge(p: Tuple[int, float, float], q: Tuple[int, float, float]):
             p[2] + q[2] + delta * delta * (p[0] * q[0] / n))
 
 
-def _run_chunked(n_samples: int, cfg: StreamConfig, chunk_fn,
-                 chunk_size: int = DEFAULT_CHUNK) -> List[MCEstimate]:
+def _run_chunked(n_samples: int, cfg: StreamConfig, chunk_fn) -> List[MCEstimate]:
     """Reduce chunk_fn(rng, size) -> value arrays (a list, or a generator
     that builds them one at a time) into MCEstimates.
 
     Each array's chunk partial is merged in chunk order, so the outcome is
     bit-identical for any worker count.
     """
-    sizes = _chunk_sizes(n_samples, chunk_size)
+    sizes = _chunk_sizes(n_samples, DEFAULT_CHUNK)
 
     def work(i: int):
         return [_moments(a) for a in chunk_fn(cfg.chunk_rng(i), sizes[i])]
@@ -287,8 +286,7 @@ def _run_chunked(n_samples: int, cfg: StreamConfig, chunk_fn,
 # -- Monte Carlo estimators ---------------------------------------------------
 
 def energy_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
-              n_samples: int, cfg: StreamConfig,
-              chunk_size: int = DEFAULT_CHUNK) -> MCEstimate:
+              n_samples: int, cfg: StreamConfig) -> MCEstimate:
     """Quadratic form of F: mean of (F(shifted) - F(base))^2 over random
     shifts.  The 1/T normalization and the uniform shift-time density
     cancel, so the plain mean is the estimator."""
@@ -299,12 +297,11 @@ def energy_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
         d = vs - vb
         return [d * d]
 
-    return _run_chunked(n_samples, cfg, chunk, chunk_size)[0]
+    return _run_chunked(n_samples, cfg, chunk)[0]
 
 
 def moments_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
-               n_samples: int, cfg: StreamConfig,
-               chunk_size: int = DEFAULT_CHUNK) -> Moments:
+               n_samples: int, cfg: StreamConfig) -> Moments:
     """Plug-in estimates of mean, second moment and F^2 log F^2 (natural
     log, 0 log 0 = 0) over base paths."""
 
@@ -313,13 +310,12 @@ def moments_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
         sq = v * v
         return [v, sq, xlogy(sq, sq)]
 
-    mean, second, entropy = _run_chunked(n_samples, cfg, chunk, chunk_size)
+    mean, second, entropy = _run_chunked(n_samples, cfg, chunk)
     return Moments(mean=mean, second_moment=second, entropy=entropy)
 
 
 def qi_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
-          n_samples: int, cfg: StreamConfig,
-          chunk_size: int = DEFAULT_CHUNK) -> QIComparison:
+          n_samples: int, cfg: StreamConfig) -> QIComparison:
     """Statistical check of the shifted-path law: E F(shifted) against
     E[F(base) * N_T] / T on common samples."""
 
@@ -329,7 +325,7 @@ def qi_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
         rhs = vb * sb.base.counts / horizon
         return [vs, rhs, vs - rhs]
 
-    lhs, rhs, diff = _run_chunked(n_samples, cfg, chunk, chunk_size)
+    lhs, rhs, diff = _run_chunked(n_samples, cfg, chunk)
     return QIComparison(lhs=lhs, rhs=rhs, diff=diff)
 
 
@@ -347,8 +343,7 @@ def pi_k(path: JumpPath, k) -> JumpTimeDistribution:
 
 
 def pi_k_rank_counts(measure: IntensityMeasure, horizon: float, k,
-                     n_samples: int, cfg: StreamConfig, max_count: int = 6,
-                     chunk_size: int = DEFAULT_CHUNK) -> dict:
+                     n_samples: int, cfg: StreamConfig, max_count: int = 6) -> dict:
     """Histogram the rank of the shift time among same-mark jump times.
 
     Draw base paths and a uniform shift time, form base + k 1_[tau, T], and
@@ -359,7 +354,7 @@ def pi_k_rank_counts(measure: IntensityMeasure, horizon: float, k,
     kvec = np.atleast_1d(np.asarray(k, dtype=float))
     if np.all(kvec == 0.0):
         raise ZeroMark("mark must be nonzero")
-    sizes = _chunk_sizes(n_samples, chunk_size)
+    sizes = _chunk_sizes(n_samples, DEFAULT_CHUNK)
 
     def work(i: int):
         rng = cfg.chunk_rng(i)
@@ -443,8 +438,7 @@ def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
 
 
 def pairing_mc(F: PathFunctional, G: PathFunctional, model, horizon: float,
-               n_samples: int, cfg: StreamConfig,
-               chunk_size: int = DEFAULT_CHUNK) -> PairingResult:
+               n_samples: int, cfg: StreamConfig) -> PairingResult:
     """Quadratic form and both generator pairings on one sample set.
 
     Sampling uses the lattice model's own jump measure.  Per-sample residual
@@ -464,7 +458,7 @@ def pairing_mc(F: PathFunctional, G: PathFunctional, model, horizon: float,
         gf = fb * lg
         return [form, fg, gf, form + fg, form + gf, fg - gf]
 
-    form, fg, gf, idfg, idgf, sym = _run_chunked(n_samples, cfg, chunk, chunk_size)
+    form, fg, gf, idfg, idgf, sym = _run_chunked(n_samples, cfg, chunk)
     return PairingResult(form=form, pairing_fg=fg, pairing_gf=gf,
                          identity_fg=idfg, identity_gf=idgf, symmetry=sym)
 

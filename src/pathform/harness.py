@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from .functional import (
 from .intensity import IntensityMeasure, measure_from_spec
 from .oracle import (
     LatticeModel,
+    _mark_point,
     lsi_exceed_level,
     lsi_witness_curve,
     poincare_check,
@@ -105,15 +106,12 @@ class RunConfig:
     T: float = 1.0
     seed: int = 20260809
     samples: int = 1_000_000
-    tolerances: dict = None
-    params: dict = None
+    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    params: dict = field(default_factory=dict)
     out: Optional[str] = None
-
-    def __post_init__(self):
-        if self.tolerances is None:
-            object.__setattr__(self, "tolerances", dict(DEFAULT_TOLERANCES))
-        if self.params is None:
-            object.__setattr__(self, "params", {})
+    # the measure `measure_spec` builds, kept so that it is built once
+    _measure: Optional[IntensityMeasure] = field(default=None, init=False,
+                                                 repr=False, compare=False)
 
     def canonical(self) -> dict:
         params = {name: dict(sorted(self.suite_params(name).items()))
@@ -138,31 +136,25 @@ class RunConfig:
 
     def suite_params(self, suite: str) -> dict:
         merged = dict(DEFAULT_PARAMS[suite])
-        merged.update((self.params or {}).get(suite, {}))
+        merged.update(self.params.get(suite, {}))
         return merged
 
     def measure(self) -> IntensityMeasure:
-        return measure_from_spec(self.measure_spec)
+        if self._measure is None:
+            object.__setattr__(self, "_measure", measure_from_spec(self.measure_spec))
+        return self._measure
 
     def stream(self, index: int = 0) -> StreamConfig:
         return StreamConfig(seed=self.seed, stream_index=index)
 
 
-def _canonical_measure_spec(spec, problems: list) -> dict:
-    if not isinstance(spec, dict):
-        problems.append(("measure", "must be an object"))
-        return {"builtin": "uniform_pm1"}
-    if "builtin" in spec:
+def _canonical_measure_spec(spec: dict, measure: IntensityMeasure) -> dict:
+    """The spec of a built measure: a builtin's space-free name, else its atoms."""
+    if spec.get("builtin") is not None:
         return {"builtin": str(spec["builtin"]).replace(" ", "")}
-    out = {"type": spec.get("type", "discrete"),
-           "dimension": spec.get("dimension", 1)}
-    if "atoms" in spec:
-        try:
-            out["atoms"] = [[list(np.atleast_1d(np.asarray(p, dtype=float)).tolist()),
-                             float(m)] for p, m in spec["atoms"]]
-        except (TypeError, ValueError):
-            problems.append(("measure.atoms", "expected [[point, mass], ...]"))
-    return out
+    return {"type": measure.kind, "dimension": measure.dimension,
+            "atoms": [list(atom) for atom in zip(measure.points.tolist(),
+                                                 measure.masses.tolist())]}
 
 
 def _finite_number(val) -> bool:
@@ -180,6 +172,25 @@ def _positive_finite(val) -> bool:
     return _finite_number(val) and val > 0
 
 
+def _integers(val, least: float, fewest: int = 1) -> bool:
+    """A list of at least `fewest` JSON integers (not bools), each >= least."""
+    return isinstance(val, list) and len(val) >= fewest and all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= least for v in val)
+
+
+# suite parameters checked in the config, with the rule a given value obeys
+_PARAM_RULES = {
+    ("qi", "ks"): (lambda v: isinstance(v, list) and all(map(_finite_number, v)),
+                   "must be a list of finite numbers"),
+    ("generator", "pi_mark"): (_finite_number, "must be a finite number"),
+    ("generator", "rank_counts"): (lambda v: _integers(v, 2),
+                                   "must be a non-empty list of integers >= 2"),
+    ("coupling", "levels"): (lambda v: _integers(v, -math.inf, 2),
+                             "must be a list of at least two integers"),
+    ("coupling", "samples"): (lambda v: _integers([v], 2), "must be an integer >= 2"),
+}
+
+
 def config_from_dict(obj: dict) -> RunConfig:
     """Validate and canonicalize; collects every invalid field before raising."""
     problems: List[Tuple[str, str]] = []
@@ -190,10 +201,9 @@ def config_from_dict(obj: dict) -> RunConfig:
         if key not in known:
             problems.append((key, "unknown field"))
 
-    measure_spec = _canonical_measure_spec(obj.get("measure", {"builtin": "uniform_pm1"}),
-                                           problems)
+    spec = obj.get("measure", {"builtin": "uniform_pm1"})
     try:
-        measure_from_spec(measure_spec)
+        measure = measure_from_spec(spec)
     except ConfigError as exc:
         problems.extend(exc.fields)
 
@@ -204,7 +214,7 @@ def config_from_dict(obj: dict) -> RunConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append(("seed", "must be an integer"))
     samples = obj.get("samples", 1_000_000)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
+    if not _integers([samples], 2):
         problems.append(("samples", "must be an integer >= 2"))
 
     tolerances = dict(DEFAULT_TOLERANCES)
@@ -228,14 +238,13 @@ def config_from_dict(obj: dict) -> RunConfig:
             elif not isinstance(extra, dict):
                 problems.append((f"params.{suite}", "must be an object"))
             else:
-                for key in extra:
+                for key, val in extra.items():
+                    # a default obeys its rule, so only given values are checked
+                    ok, rule = _PARAM_RULES.get((suite, key), (lambda v: True, None))
                     if key not in DEFAULT_PARAMS[suite]:
                         problems.append((f"params.{suite}.{key}", "unknown parameter"))
-        qi = params.get("qi")
-        ks = qi.get("ks", []) if isinstance(qi, dict) else []
-        if not isinstance(ks, list) or not all(_finite_number(k) for k in ks):
-            problems.append(("params.qi.ks",
-                             f"must be a list of finite numbers, got {ks!r}"))
+                    elif not ok(val):
+                        problems.append((f"params.{suite}.{key}", f"{rule}, got {val!r}"))
 
     out = obj.get("out")
     if out is not None and not isinstance(out, str):
@@ -243,9 +252,11 @@ def config_from_dict(obj: dict) -> RunConfig:
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(measure_spec=measure_spec, T=float(T), seed=seed,
-                     samples=samples, tolerances=tolerances, params=params,
-                     out=out)
+    cfg = RunConfig(measure_spec=_canonical_measure_spec(spec, measure), T=float(T),
+                    seed=seed, samples=samples, tolerances=tolerances,
+                    params=params, out=out)
+    object.__setattr__(cfg, "_measure", measure)
+    return cfg
 
 
 def parse_config(text: str) -> RunConfig:
@@ -339,15 +350,21 @@ def _exact_row(name: str, anchor: str, lhs: float, rhs: float,
                     passed=bool(diff <= threshold))
 
 
-def _band_row(name: str, anchor: str, est, sigma: float,
-              lhs: float = None, rhs: float = None) -> CheckRow:
-    """A mean-zero statistic checked inside its sigma band."""
+def _bound_row(name: str, anchor: str, lhs: float, rhs: float, threshold: float,
+               kind: str) -> CheckRow:
+    """A one-sided bound lhs <= rhs, within threshold; NaN fails it."""
+    diff = lhs - rhs
+    return CheckRow(name=name, kind=kind, anchor=anchor, lhs=lhs, rhs=rhs,
+                    diff=diff, threshold=threshold, passed=diff <= threshold)
+
+
+def _band_row(name: str, anchor: str, est, sigma: float, lhs: float,
+              rhs: float) -> CheckRow:
+    """A mean-zero statistic `est` of lhs - rhs, checked inside its sigma band."""
     thr = sigma * est.stderr
     diff = abs(est.mean)
-    return CheckRow(name=name, kind="statistical", anchor=anchor,
-                    lhs=float(est.mean if lhs is None else lhs),
-                    rhs=float(0.0 if rhs is None else rhs),
-                    diff=diff, threshold=thr, passed=diff <= thr)
+    return CheckRow(name=name, kind="statistical", anchor=anchor, lhs=float(lhs),
+                    rhs=float(rhs), diff=diff, threshold=thr, passed=diff <= thr)
 
 
 # -- functional corpora ------------------------------------------------------------
@@ -507,13 +524,9 @@ def _suite_poincare(cfg: RunConfig) -> Report:
     for F in _resolve_corpus(cfg, "poincare"):
         if isinstance(F, CountFunctional):
             continue  # count maps are covered by the sharpness rows below
-        variance, bound = poincare_check(model, cfg.T, F)
-        excess = variance - bound
-        rows.append(CheckRow(
-            name=f"poincare[{F.name},n={len(F.times)}]", kind="exact",
-            anchor=ANCHORS["poincare"], lhs=variance, rhs=bound,
-            diff=excess, threshold=cfg.tol("poincare"),
-            passed=excess <= cfg.tol("poincare")))
+        rows.append(_bound_row(f"poincare[{F.name},n={len(F.times)}]",
+                               ANCHORS["poincare"], *poincare_check(model, cfg.T, F),
+                               cfg.tol("poincare"), "exact"))
     params = cfg.suite_params("poincare")
     identity = CountFunctional(g=lambda c: c.astype(float), name="count")
     for horizon in params["sharpness_horizons"]:
@@ -529,6 +542,11 @@ def _suite_poincare(cfg: RunConfig) -> Report:
 
 def _suite_generator(cfg: RunConfig) -> Report:
     model = _require_lattice(cfg, "generator")
+    params = cfg.suite_params("generator")
+    try:
+        _mark_point(model, params["pi_mark"])
+    except UnsupportedMeasure as exc:
+        raise ConfigError([("params.generator.pi_mark", f"must be an atom: {exc}")])
     sigma = cfg.tol("sigma")
     corpus = {F.name: F for F in lattice_corpus(cfg.T)}
     pairs = [(corpus["ind0_end"], corpus["ind1_half"]),
@@ -544,17 +562,17 @@ def _suite_generator(cfg: RunConfig) -> Report:
         rows.append(_band_row(f"symmetry[{label}]", ANCHORS["symmetry"],
                               res.symmetry, sigma,
                               lhs=res.pairing_fg.mean, rhs=res.pairing_gf.mean))
-    params = cfg.suite_params("generator")
     counts = pi_k_rank_counts(model.to_measure(), cfg.T, params["pi_mark"],
                               int(params["rank_samples"]), cfg.stream(len(pairs)),
                               max_count=max(params["rank_counts"]))
     alpha = cfg.tol("chi2_significance")
     for j in params["rank_counts"]:
-        observed = counts[int(j)]
+        observed = counts[j]
         expected = observed.sum() / len(observed)
-        stat = float(((observed - expected) ** 2 / expected).sum()) if expected else 0.0
+        # an empty histogram has no statistic, and its NaN fails the row
+        stat = float(((observed - expected) ** 2 / expected).sum()) if expected else math.nan
         # the chi-square quantile with j - 1 degrees of freedom
-        threshold = float(2.0 * gammaincinv((int(j) - 1) / 2, 1.0 - alpha))
+        threshold = float(2.0 * gammaincinv((j - 1) / 2, 1.0 - alpha))
         rows.append(CheckRow(name=f"pi_rank_uniform[j={j}]", kind="statistical",
                              anchor=ANCHORS["pi_rank"], lhs=stat, rhs=threshold,
                              diff=stat, threshold=threshold,
@@ -584,13 +602,9 @@ def _suite_smalltime(cfg: RunConfig) -> Report:
     params = cfg.suite_params("smalltime")
     s_values = sorted((float(s) for s in params["s_values"]), reverse=True)
     table = small_time_table(model, params["points"], s_values)
-    tol = cfg.tol("smalltime")
-    rows = []
-    for row in table:
-        rows.append(CheckRow(name=f"rate_bound[s={row.s:g}]", kind="exact",
-                             anchor=ANCHORS["smalltime"], lhs=row.origin_ratio,
-                             rhs=1.0, diff=row.origin_ratio - 1.0, threshold=tol,
-                             passed=row.origin_ratio <= 1.0 + tol))
+    rows = [_bound_row(f"rate_bound[s={row.s:g}]", ANCHORS["smalltime"],
+                       row.origin_ratio, 1.0, cfg.tol("smalltime"), "exact")
+            for row in table]
     for point in table[0].deviations:
         for bigger, smaller in zip(table, table[1:]):
             a = abs(bigger.deviations[point])
@@ -662,28 +676,21 @@ def _suite_coupling(cfg: RunConfig) -> Report:
                  for li in range(len(levels))]
 
     # a mean of nonnegative excesses is 0.0 exactly when every path is within
-    rows = [CheckRow(name="projection_gap_bound", kind="deterministic",
-                     anchor=ANCHORS["coupling"], lhs=excess.mean, rhs=0.0,
-                     diff=excess.mean, threshold=0.0,
-                     passed=excess.mean <= 0.0)]
+    rows = [_bound_row("projection_gap_bound", ANCHORS["coupling"], excess.mean,
+                       0.0, 0.0, "deterministic")]
     for fi, (F, lip) in enumerate(corpus):
         devs = [abs(estimates[li][fi].mean) for li in range(len(levels))]
         slack = [sigma * (estimates[li][fi].stderr + estimates[li + 1][fi].stderr)
                  for li in range(len(levels) - 1)]
         violation = max(devs[i + 1] - devs[i] - slack[i]
                         for i in range(len(levels) - 1))
-        rows.append(CheckRow(name=f"monotone_convergence[{F.name}]",
-                             kind="statistical", anchor=ANCHORS["coupling"],
-                             lhs=violation, rhs=0.0, diff=violation,
-                             threshold=0.0, passed=violation <= 0.0))
+        rows.append(_bound_row(f"monotone_convergence[{F.name}]", ANCHORS["coupling"],
+                               violation, 0.0, 0.0, "statistical"))
         last = estimates[-1][fi]
         bound = lip * jumps.mean * (2.0 ** -levels[-1]) * sqrt_d
-        rows.append(CheckRow(name=f"limit_bias[{F.name},n={levels[-1]}]",
-                             kind="statistical", anchor=ANCHORS["coupling"],
-                             lhs=abs(last.mean), rhs=bound,
-                             diff=abs(last.mean) - bound,
-                             threshold=sigma * last.stderr,
-                             passed=abs(last.mean) - bound <= sigma * last.stderr))
+        rows.append(_bound_row(f"limit_bias[{F.name},n={levels[-1]}]",
+                               ANCHORS["coupling"], abs(last.mean), bound,
+                               sigma * last.stderr, "statistical"))
     return _finish("coupling", cfg, rows)
 
 

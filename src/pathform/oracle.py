@@ -47,6 +47,8 @@ GRID_BUDGET_BYTES = 512 * 2**20
 # Bytes of P_{t-s} f over one block of quadrature nodes in semigroup_gap;
 # blocks keep memory bounded for long t or d > 1.
 _QUAD_BLOCK_BYTES = 16 * 2**20
+# Largest tail estimate `poisson_count_stats` accepts.
+COUNT_TAIL_TOL = 1e-9
 
 
 class _Poisson:
@@ -366,11 +368,16 @@ class IncrementGrid:
         return self.expect_values(self.read(self.values(F), shift_from, shift))
 
 
-def _check_truncation(grid: IncrementGrid, F: CylindricalFunctional,
-                      max_error: float = None) -> None:
+def _grid_values(model: LatticeModel, horizon: float, F: CylindricalFunctional,
+                 max_error: float = None) -> Tuple[IncrementGrid, np.ndarray]:
+    """F's grid and F's padded values on it, evaluated once; a grid whose
+    certified error (tail bound times F's bound) exceeds `max_error` raises
+    TruncationTooCoarse before F is evaluated."""
+    grid = IncrementGrid(model, horizon, F.times)
     if max_error is not None and grid.tail_bound * F.bound > max_error:
         raise TruncationTooCoarse(
             f"certified error {grid.tail_bound * F.bound:.3e} exceeds {max_error:.3e}")
+    return grid, grid.values(F)
 
 
 def _mark_point(model: LatticeModel, k) -> LatticePoint:
@@ -383,9 +390,8 @@ def _mark_point(model: LatticeModel, k) -> LatticePoint:
 def expect_cylindrical(model: LatticeModel, horizon: float,
                        F: CylindricalFunctional, max_error: float = None) -> float:
     """E F over paths, exact up to the certified tail (<= n * eps * bound)."""
-    grid = IncrementGrid(model, horizon, F.times)
-    _check_truncation(grid, F, max_error)
-    return grid.expect(F)
+    grid, values = _grid_values(model, horizon, F, max_error)
+    return grid.expect_values(grid.read(values))
 
 
 def _count_weighted(grid: IncrementGrid, vals: np.ndarray,
@@ -415,9 +421,8 @@ def expect_with_count(model: LatticeModel, horizon: float,
     """E[F * (number of mark-k jumps over the whole horizon)], by the
     count-weighted increment tables (`_count_weighted`)."""
     point = _mark_point(model, k)
-    grid = IncrementGrid(model, horizon, F.times)
-    _check_truncation(grid, F, max_error)
-    return _count_weighted(grid, grid.read(grid.values(F)), point)
+    grid, values = _grid_values(model, horizon, F, max_error)
+    return _count_weighted(grid, grid.read(values), point)
 
 
 def qi_check(model: LatticeModel, horizon: float, F: CylindricalFunctional,
@@ -432,9 +437,7 @@ def qi_check(model: LatticeModel, horizon: float, F: CylindricalFunctional,
     count-weighted increment tables.  The two must agree.
     """
     point = _mark_point(model, k)
-    grid = IncrementGrid(model, horizon, F.times)
-    _check_truncation(grid, F, max_error)
-    values = grid.values(F)
+    grid, values = _grid_values(model, horizon, F, max_error)
     vals = grid.read(values)
     base = grid.expect_values(vals)
     acc = 0.0
@@ -462,9 +465,7 @@ def exact_energy(model: LatticeModel, horizon: float,
     """The quadratic form of F, exactly: the shift-time integral collapses
     to the coordinate grid because shifting anywhere inside one interval
     moves the same tail coordinates."""
-    grid = IncrementGrid(model, horizon, F.times)
-    _check_truncation(grid, F, max_error)
-    return _energy_on_grid(grid, grid.values(F))
+    return _energy_on_grid(*_grid_values(model, horizon, F, max_error))
 
 
 def poincare_check(model: LatticeModel, horizon: float,
@@ -472,9 +473,7 @@ def poincare_check(model: LatticeModel, horizon: float,
                    max_error: float = None) -> Tuple[float, float]:
     """(variance of F, T * energy of F), both exact, for the inequality
     variance <= T * energy; one evaluation of F serves both."""
-    grid = IncrementGrid(model, horizon, F.times)
-    _check_truncation(grid, F, max_error)
-    values = grid.values(F)
+    grid, values = _grid_values(model, horizon, F, max_error)
     vals = grid.read(values)
     mean = grid.expect_values(vals)
     variance = grid.expect_values(vals * vals) - mean * mean
@@ -616,8 +615,7 @@ class CountStats(NamedTuple):
     entropy: float
 
 
-def poisson_count_stats(g: CountFunctional, horizon: float, m_max: int,
-                        tol: float = 1e-9) -> CountStats:
+def poisson_count_stats(g: CountFunctional, horizon: float, m_max: int) -> CountStats:
     """Exact truncated statistics of g(N) for N ~ Poisson(T).
 
     The energy is sum_m p_m (g(m+1) - g(m))^2: a random shift adds one jump
@@ -628,7 +626,7 @@ def poisson_count_stats(g: CountFunctional, horizon: float, m_max: int,
 
     The truncation guard is a heuristic, not a bound: it reads |g| only on
     the 17 counts past m_max, so a g that grows faster further out can
-    leave a larger error than `tol` without raising TruncationTooCoarse.
+    pass it with an error above COUNT_TAIL_TOL.
     """
     # comparisons written so that NaN fails them
     if not 0 <= horizon < math.inf:
@@ -642,10 +640,10 @@ def poisson_count_stats(g: CountFunctional, horizon: float, m_max: int,
     tail = float(poisson.sf(m_max, horizon))
     est = tail * max(1.0, worst, 4.0 * wsq,
                      wsq * (1.0 + abs(math.log(wsq)) if wsq > 0 else 0.0))
-    if tol is not None and est > tol:
+    if est > COUNT_TAIL_TOL:
         raise TruncationTooCoarse(
             f"heuristic tail estimate {est:.3e} (|g| probed on "
-            f"{m_max + 1}..{m_max + 17} only) exceeds {tol:.3e}; raise m_max")
+            f"{m_max + 1}..{m_max + 17} only) exceeds {COUNT_TAIL_TOL:.3e}; raise m_max")
     pm = poisson.pmf(np.arange(m_max + 2), horizon)
     head, ph = values[:m_max + 1], pm[:m_max + 1]
     mean = float(np.dot(ph, head))

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -37,6 +38,46 @@ def test_config_round_trips_canonically():
     again = pf.parse_config(cfg.canonical_json())
     assert again.canonical() == cfg.canonical()
     assert again.digest() == cfg.digest()
+
+
+# digests computed before the canonical spec was written from the built measure
+@pytest.mark.parametrize("spec, digest", [
+    ({"dimension": 1, "atoms": [[1, 0.25], [-2, 0.75]]},
+     "9bf7a5d0f60d983ff39ee22d8bc817380abcbcd4363498934f2bb66663804539"),
+    ({"type": "discrete", "atoms": [[[3], 0.5], [[-1.5], 0.5]]},
+     "289dd22a6220bffd8950701406ae60388a90844cf8d07115213fb640022137de"),
+    ({"builtin": "gauss_shifted( 0.5, 1 )"},
+     "aadc7540cb637e199212ced39d936d5db882dc444107cacb38d910b8cb13e0af"),
+], ids=["scalar_points", "type_without_dimension", "builtin_with_spaces"])
+def test_config_digest_pinned(spec, digest):
+    assert pf.config_from_dict({"measure": spec}).digest() == digest
+
+
+def test_config_builds_its_measure_once(monkeypatch):
+    cfg = pf.config_from_dict({"measure": {"builtin": "gauss_shifted(0.5,1)"},
+                               "samples": 2000,
+                               "params": {"coupling": {"samples": 2000}}})
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "measure_from_spec", counted(harness.measure_from_spec))
+    monkeypatch.setattr(pf.IntensityMeasure, "validate",
+                        counted(pf.IntensityMeasure.validate))
+    for suite in ("coupling", "sample"):
+        assert pf.run_suite(suite, cfg).overall_pass
+    assert calls == []
+    # built directly, a config builds its measure from the spec on first use
+    direct = pf.RunConfig(measure_spec=cfg.measure_spec)
+    assert direct.measure() is direct.measure()
+    assert calls == ["measure_from_spec", "validate"]
+    # the stored measure is left out of equality and repr
+    assert direct == pf.RunConfig(measure_spec=cfg.measure_spec)
+    assert "_measure" not in repr(direct)
 
 
 def test_negative_horizon_rejected():
@@ -273,6 +314,49 @@ def test_generator_chi2_thresholds_bit_equal_to_scipy_stats():
             if row.name.startswith("pi_rank_uniform")]
     assert [row.threshold for row in rows] == [
         stats.chi2.ppf(1.0 - 1e-3, j - 1) for j in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("pi_mark", [0.5, 2, "x"], ids=["off_lattice", "no_atom", "string"])
+def test_generator_pi_mark_must_be_an_atom(tmp_path, capsys, pi_mark):
+    params = {"generator": {"pi_mark": pi_mark, "rank_samples": 2000}}
+    with pytest.raises(ConfigError) as err:
+        pf.run_suite("generator", small_cfg(samples=2000, params=params))
+    assert [field for field, _ in err.value.fields] == ["params.generator.pi_mark"]
+    spec = tmp_path / "pi_mark.json"
+    spec.write_text(json.dumps({"samples": 2000, "params": params}))
+    assert cli.main(["generator", "--config", str(spec)]) == 2
+    assert "params.generator.pi_mark" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank_counts", [[1], [], [2.0], [True, 3], 3])
+def test_generator_rank_counts_must_be_integers_at_least_two(rank_counts):
+    with pytest.raises(ConfigError) as err:
+        small_cfg(params={"generator": {"rank_counts": rank_counts}})
+    assert [field for field, _ in err.value.fields] == ["params.generator.rank_counts"]
+
+
+def test_generator_rank_row_without_observations_fails():
+    # 50 draws at T = 1 almost never hold a path with six +1 jumps
+    cfg = small_cfg(samples=2000, params={
+        "generator": {"rank_counts": [2, 6], "rank_samples": 50}})
+    rows = {row.name: row for row in pf.run_suite("generator", cfg).rows}
+    assert rows["pi_rank_uniform[j=2]"].passed
+    empty = rows["pi_rank_uniform[j=6]"]
+    assert math.isnan(empty.lhs) and not empty.passed
+
+
+@pytest.mark.parametrize("key, value", [
+    ("levels", [3]), ("levels", []), ("levels", [1, 2.5]), ("levels", "ab"),
+    ("samples", 1), ("samples", 2.5), ("samples", True),
+])
+def test_coupling_params_are_config_errors(tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError) as err:
+        small_cfg(params={"coupling": {key: value}})
+    assert [field for field, _ in err.value.fields] == [f"params.coupling.{key}"]
+    spec = tmp_path / "coupling.json"
+    spec.write_text(json.dumps({"samples": 2000, "params": {"coupling": {key: value}}}))
+    assert cli.main(["coupling", "--config", str(spec)]) == 2
+    assert f"params.coupling.{key}" in capsys.readouterr().err
 
 
 def test_report_files(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy import special, stats
 
 import pathform as pf
-from pathform import CylindricalFunctional, StreamConfig
+from pathform import CylindricalFunctional, StreamConfig, oracle
 from pathform.errors import (
     AtomAtOrigin,
     GridTooLarge,
@@ -413,6 +413,16 @@ def test_expect_truncation_guard(pm1_model):
     F = pf.indicator_at(1.0, 0.0)
     with pytest.raises(TruncationTooCoarse):
         pf.expect_cylindrical(pm1_model, 1.0, F, max_error=1e-30)
+    # every exact entry point refuses the same grid, and accepts it at its error
+    calls = [lambda e: pf.expect_with_count(pm1_model, 1.0, F, 1, max_error=e),
+             lambda e: pf.qi_check(pm1_model, 1.0, F, 1, max_error=e),
+             lambda e: pf.exact_energy(pm1_model, 1.0, F, max_error=e),
+             lambda e: pf.poincare_check(pm1_model, 1.0, F, max_error=e)]
+    certified = pf.IncrementGrid(pm1_model, 1.0, F.times).tail_bound * F.bound
+    for call in calls:
+        with pytest.raises(TruncationTooCoarse):
+            call(1e-30)
+        call(certified)
 
 
 # -- count-weighted expectations ---------------------------------------------------------
@@ -682,6 +692,21 @@ def test_count_stats_truncation_guard():
     g = pf.CountFunctional(g=lambda c: c.astype(float))
     with pytest.raises(TruncationTooCoarse):
         pf.poisson_count_stats(g, 2.0, 3)
+
+
+def test_count_stats_guard_has_one_fixed_tolerance():
+    # |g| = 1 on the probe window, so the tail estimate is 4 * P(N > m_max)
+    one = pf.CountFunctional(g=lambda c: np.ones(len(c)))
+    for m_max in range(4, 20):
+        if 4.0 * float(poisson.sf(m_max, 1.0)) > oracle.COUNT_TAIL_TOL:
+            with pytest.raises(TruncationTooCoarse):
+                pf.poisson_count_stats(one, 1.0, m_max)
+        else:
+            pf.poisson_count_stats(one, 1.0, m_max)
+    assert oracle.COUNT_TAIL_TOL == 1e-9
+    # the guard cannot be switched off
+    with pytest.raises(TypeError):
+        pf.poisson_count_stats(one, 1.0, 4, tol=None)
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
