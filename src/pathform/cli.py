@@ -4,11 +4,13 @@
 
 Suites: qi, poincare, generator, semigroup, smalltime, lsi, coupling,
 sample.  Exit code 0 when every check row passes, 1 when any row fails, 2 on
-a configuration error, 3 when a suite raises any other domain error (a
-refused oracle request, an unprojectable mark, ...).  The `sample` suite
-additionally accepts --measure (a measure-spec JSON file), --n and
---project, and prints path dumps as JSON lines when no output directory is
-given.  PATHFORM_THREADS caps the worker count without affecting results.
+a configuration error (any field or suite parameter that breaks its rule,
+such as `lsi.ms: [5]`, or a measure the suite cannot run on), 3 when a suite
+raises any other domain error (a refused oracle request, an unprojectable
+mark, ...).  The `sample` suite additionally accepts --measure (a
+measure-spec JSON file), --n and --project, and prints path dumps as JSON
+lines when no output directory is given.  PATHFORM_THREADS caps the worker
+count without affecting results.
 """
 
 from __future__ import annotations

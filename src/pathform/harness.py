@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from . import __version__
-from .errors import ConfigError, UnsupportedMeasure
+from .errors import ConfigError, UnsortedTimes, UnsupportedMeasure
 from .functional import (
     CountFunctional,
     CylindricalFunctional,
@@ -40,7 +40,6 @@ from .functional import (
 from .intensity import IntensityMeasure, measure_from_spec
 from .oracle import (
     LatticeModel,
-    _mark_point,
     lsi_exceed_level,
     lsi_witness_curve,
     poincare_check,
@@ -100,18 +99,59 @@ ANCHORS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Canonicalized run configuration for every suite."""
+    """Run configuration for every suite.  However it is made, it is checked
+    against `_RULES` (every problem in one ConfigError) and canonicalized: the
+    spec of the measure it builds, a float T, the tolerances over the defaults."""
 
     measure_spec: dict
     T: float = 1.0
     seed: int = 20260809
     samples: int = 1_000_000
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     out: Optional[str] = None
-    # the measure `measure_spec` builds, kept so that it is built once
+    # the measure `measure_spec` builds and, on the integer lattice, its
+    # lattice model (else None), both built once, when the config is made
     _measure: Optional[IntensityMeasure] = field(default=None, init=False,
                                                  repr=False, compare=False)
+    _lattice: Optional[LatticeModel] = field(default=None, init=False,
+                                             repr=False, compare=False)
+
+    def __post_init__(self):
+        problems: List[Tuple[str, str]] = []
+        try:
+            measure = measure_from_spec(self.measure_spec)
+        except ConfigError as exc:
+            problems += exc.fields
+        given = {"T": self.T, "seed": self.seed, "samples": self.samples, "out": self.out,
+                 **_section("tolerances", self.tolerances, problems)}
+        for path, extra in _section("params", self.params, problems).items():
+            if path[len("params."):] in DEFAULT_PARAMS:
+                given.update(_section(path, extra, problems))
+            else:
+                problems.append((path, "unknown suite"))
+        for path, value in given.items():
+            if path not in _RULES:
+                problems.append((path, "unknown field"))
+                continue
+            check, rule = _RULES[path]
+            if not check(value):
+                problems.append((path, f"{rule}, got {value!r}"))
+            elif path.endswith(".corpus") and value and _positive_finite(self.T):
+                for i, spec in enumerate(value):
+                    try:
+                        functional_from_spec(spec, self.T)
+                    except ConfigError as exc:
+                        problems += [(path, f"entry {i}: {msg}") for _, msg in exc.fields]
+        if problems:
+            raise ConfigError(problems)
+        tolerances = {key: float(val) for key, val in self.tolerances.items()}
+        canonical = {"measure_spec": _canonical_measure_spec(self.measure_spec, measure),
+                     "T": float(self.T), "tolerances": {**DEFAULT_TOLERANCES, **tolerances},
+                     "_measure": measure}
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_lattice", _lattice_model(self, measure))
 
     def canonical(self) -> dict:
         params = {name: dict(sorted(self.suite_params(name).items()))
@@ -140,9 +180,11 @@ class RunConfig:
         return merged
 
     def measure(self) -> IntensityMeasure:
-        if self._measure is None:
-            object.__setattr__(self, "_measure", measure_from_spec(self.measure_spec))
         return self._measure
+
+    def lattice(self) -> Optional[LatticeModel]:
+        """The measure's lattice model, or None off the integer lattice."""
+        return self._lattice
 
     def stream(self, index: int = 0) -> StreamConfig:
         return StreamConfig(seed=self.seed, stream_index=index)
@@ -157,14 +199,18 @@ def _canonical_measure_spec(spec: dict, measure: IntensityMeasure) -> dict:
                                                  measure.masses.tolist())]}
 
 
+def _section(path: str, obj, problems: list) -> dict:
+    """An object's entries keyed by their field paths."""
+    if not isinstance(obj, dict):
+        problems.append((path, "must be an object"))
+        return {}
+    return {f"{path}.{key}": val for key, val in obj.items()}
+
+
 def _finite_number(val) -> bool:
     """A JSON number (not a bool) that is finite as a float; NaN fails."""
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        return False
-    try:
-        return math.isfinite(val)
-    except OverflowError:  # an int past the float range
-        return False
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
 
 
 def _positive_finite(val) -> bool:
@@ -172,90 +218,90 @@ def _positive_finite(val) -> bool:
     return _finite_number(val) and val > 0
 
 
-def _integers(val, least: float, fewest: int = 1) -> bool:
-    """A list of at least `fewest` JSON integers (not bools), each >= least."""
-    return isinstance(val, list) and len(val) >= fewest and all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= least for v in val)
+def _integer(val, least: float = -math.inf, most: float = math.inf) -> bool:
+    """A JSON integer (not a bool) in [least, most]."""
+    return isinstance(val, int) and not isinstance(val, bool) and least <= val <= most
 
 
-# suite parameters checked in the config, with the rule a given value obeys
-_PARAM_RULES = {
-    ("qi", "ks"): (lambda v: isinstance(v, list) and all(map(_finite_number, v)),
-                   "must be a list of finite numbers"),
-    ("generator", "pi_mark"): (_finite_number, "must be a finite number"),
-    ("generator", "rank_counts"): (lambda v: _integers(v, 2),
-                                   "must be a non-empty list of integers >= 2"),
-    ("coupling", "levels"): (lambda v: _integers(v, -math.inf, 2),
-                             "must be a list of at least two integers"),
-    ("coupling", "samples"): (lambda v: _integers([v], 2), "must be an integer >= 2"),
+def _list_of(check, val, fewest: int = 0) -> bool:
+    """A list of at least `fewest` values that each pass `check`."""
+    return isinstance(val, list) and len(val) >= fewest and all(map(check, val))
+
+
+def _increasing(val: list) -> bool:
+    return all(a < b for a, b in zip(val, val[1:]))
+
+
+_LEVEL = sys.float_info.max_exp - 1  # 2**n and 2**-n are finite floats
+_POINT = 2 ** 53  # a lattice point stays exact in int64 and float arithmetic
+
+_POSITIVE = (_positive_finite, "must be a finite positive number")
+_COUNT = (lambda v: _integer(v, 0), "must be an integer >= 0")
+_SAMPLE_COUNT = (lambda v: _integer(v, 2), "must be an integer >= 2")
+_CORPUS = (lambda v: v is None or _list_of(lambda s: isinstance(s, dict), v, 1),
+           "must be null or a non-empty list of functional specs (objects)")
+
+# (check, what a value must be) for every settable value of a RunConfig but its
+# measure (`IntensityMeasure.validate`'s), by the field its problem is reported on
+_RULES: Dict[str, Tuple[Callable, str]] = {
+    "T": _POSITIVE,
+    "seed": (_integer, "must be an integer"),
+    "samples": _SAMPLE_COUNT,
+    "out": (lambda v: v is None or isinstance(v, str), "must be null or a string path"),
+    **{f"tolerances.{key}": _POSITIVE for key in DEFAULT_TOLERANCES},
+    "params.qi.ks": (lambda v: _list_of(_finite_number, v),
+                     "must be a list of finite numbers"),
+    "params.qi.corpus": _CORPUS,
+    "params.poincare.sharpness_horizons": (lambda v: _list_of(_positive_finite, v),
+                                           "must be a list of finite positive numbers"),
+    "params.poincare.count_m_max": _COUNT,
+    "params.poincare.corpus": _CORPUS,
+    "params.generator.pi_mark": (_finite_number, "must be a finite number"),
+    "params.generator.rank_counts": (lambda v: _list_of(lambda j: _integer(j, 2), v, 1),
+                                     "must be a non-empty list of integers >= 2"),
+    "params.generator.rank_samples": _SAMPLE_COUNT,
+    "params.semigroup.t": _POSITIVE,
+    "params.semigroup.quad_step": _POSITIVE,
+    "params.semigroup.z": (lambda v: _integer(v, -_POINT, _POINT),
+                           "must be an integer in [-2**53, 2**53]"),
+    "params.smalltime.s_values": (
+        lambda v: _list_of(lambda s: _finite_number(s) and 0 < s <= 1, v, 1)
+        and _increasing(sorted(v)), "must be a non-empty list of distinct numbers in (0, 1]"),
+    "params.smalltime.points": (lambda v: _list_of(lambda p: _integer(p, -_POINT, _POINT), v),
+                                "must be a list of integers in [-2**53, 2**53]"),
+    "params.lsi.ms": (lambda v: _list_of(lambda m: _integer(m, 1), v, 2) and _increasing(v),
+                      "must be a strictly increasing list of at least two integers >= 1"),
+    "params.lsi.C": _POSITIVE,
+    "params.lsi.count_m_max": _COUNT,
+    "params.coupling.levels": (
+        lambda v: _list_of(lambda n: _integer(n, -_LEVEL, _LEVEL), v, 2) and _increasing(v),
+        f"must be a strictly increasing list of at least two integers in [-{_LEVEL}, {_LEVEL}]"),
+    "params.coupling.samples": _SAMPLE_COUNT,
+    "params.sample.n_paths": _COUNT,
+    "params.sample.project": (lambda v: v is None or _integer(v, -_LEVEL, _LEVEL),
+                              f"must be null or an integer in [-{_LEVEL}, {_LEVEL}]"),
 }
+
+# config-file keys and the RunConfig fields they set
+_FIELDS = {"measure": "measure_spec", "T": "T", "seed": "seed", "samples": "samples",
+           "tolerances": "tolerances", "params": "params", "out": "out"}
 
 
 def config_from_dict(obj: dict) -> RunConfig:
-    """Validate and canonicalize; collects every invalid field before raising."""
-    problems: List[Tuple[str, str]] = []
+    """Read a JSON object into a RunConfig; its unknown keys and every rule
+    the config breaks are reported together, in one ConfigError."""
     if not isinstance(obj, dict):
         raise ConfigError([("", "configuration must be a JSON object")])
-    known = {"measure", "T", "seed", "samples", "tolerances", "params", "out"}
-    for key in obj:
-        if key not in known:
-            problems.append((key, "unknown field"))
-
-    spec = obj.get("measure", {"builtin": "uniform_pm1"})
+    problems = [(key, "unknown field") for key in obj if key not in _FIELDS]
+    given = {_FIELDS[key]: val for key, val in obj.items() if key in _FIELDS
+             and not (val is None and key in ("tolerances", "params"))}
+    given.setdefault("measure_spec", {"builtin": "uniform_pm1"})
     try:
-        measure = measure_from_spec(spec)
+        cfg = RunConfig(**given)
     except ConfigError as exc:
-        problems.extend(exc.fields)
-
-    T = obj.get("T", 1.0)
-    if not _positive_finite(T):
-        problems.append(("T", f"must be a finite positive number, got {T!r}"))
-    seed = obj.get("seed", 20260809)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        problems.append(("seed", "must be an integer"))
-    samples = obj.get("samples", 1_000_000)
-    if not _integers([samples], 2):
-        problems.append(("samples", "must be an integer >= 2"))
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (obj.get("tolerances") or {}).items():
-        if key not in DEFAULT_TOLERANCES:
-            problems.append((f"tolerances.{key}", "unknown tolerance"))
-        elif not _positive_finite(val):
-            problems.append((f"tolerances.{key}",
-                             f"must be a finite positive number, got {val!r}"))
-        else:
-            tolerances[key] = float(val)
-
-    params = obj.get("params") or {}
-    if not isinstance(params, dict):
-        problems.append(("params", "must be an object"))
-        params = {}
-    else:
-        for suite, extra in params.items():
-            if suite not in DEFAULT_PARAMS:
-                problems.append((f"params.{suite}", "unknown suite"))
-            elif not isinstance(extra, dict):
-                problems.append((f"params.{suite}", "must be an object"))
-            else:
-                for key, val in extra.items():
-                    # a default obeys its rule, so only given values are checked
-                    ok, rule = _PARAM_RULES.get((suite, key), (lambda v: True, None))
-                    if key not in DEFAULT_PARAMS[suite]:
-                        problems.append((f"params.{suite}.{key}", "unknown parameter"))
-                    elif not ok(val):
-                        problems.append((f"params.{suite}.{key}", f"{rule}, got {val!r}"))
-
-    out = obj.get("out")
-    if out is not None and not isinstance(out, str):
-        problems.append(("out", "must be a string path"))
-
+        raise ConfigError(problems + exc.fields) from None
     if problems:
         raise ConfigError(problems)
-    cfg = RunConfig(measure_spec=_canonical_measure_spec(spec, measure), T=float(T),
-                    seed=seed, samples=samples, tolerances=tolerances,
-                    params=params, out=out)
-    object.__setattr__(cfg, "_measure", measure)
     return cfg
 
 
@@ -287,10 +333,11 @@ class CheckRow:
     passed: bool
 
     def to_json_obj(self) -> dict:
+        # a non-finite number, which JSON cannot hold, is written as null
+        nums = {key: float(getattr(self, key)) for key in ("lhs", "rhs", "diff", "threshold")}
         return {"name": self.name, "kind": self.kind, "anchor": self.anchor,
-                "lhs": float(self.lhs), "rhs": float(self.rhs),
-                "diff": float(self.diff), "threshold": float(self.threshold),
-                "pass": bool(self.passed)}
+                "pass": bool(self.passed),
+                **{key: val if math.isfinite(val) else None for key, val in nums.items()}}
 
 
 @dataclass(frozen=True)
@@ -309,7 +356,7 @@ class Report:
                 "artifacts": self.artifacts}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True, allow_nan=False)
 
     def write(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
@@ -437,7 +484,7 @@ def functional_from_spec(spec: dict, T: float):
                                       [float(v) for v in spec["values"]])
         elif family == "capped_count":
             built = capped_count(int(spec["cap"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, UnsortedTimes) as exc:
         raise ConfigError([("corpus", f"bad {family} spec: {exc}")])
     if built is None:
         raise ConfigError([("corpus", f"unknown functional family {family!r}")])
@@ -447,57 +494,32 @@ def functional_from_spec(spec: dict, T: float):
     return built
 
 
-def _resolve_corpus(cfg: RunConfig, suite: str) -> List[CylindricalFunctional]:
-    """Default corpus, or the config-supplied builtin functionals."""
-    specs = cfg.suite_params(suite).get("corpus")
+def _resolve_corpus(cfg: RunConfig, suite: str, default) -> List[CylindricalFunctional]:
+    """The default corpus at T, or the config-supplied builtin functionals
+    (whose specs the config checked against T when it was made)."""
+    specs = cfg.suite_params(suite)["corpus"]
     if specs is None:
-        return lattice_corpus(cfg.T)
-    if not isinstance(specs, list) or not specs:
-        raise ConfigError([(f"params.{suite}.corpus", "must be a non-empty list")])
+        return default(cfg.T)
     return [functional_from_spec(spec, cfg.T) for spec in specs]
 
 
-def _one_dimensional(cfg: RunConfig, suite: str) -> IntensityMeasure:
-    """The run's measure, refused unless d = 1: the suite's built-in
-    functionals, corpus families and parameters are all one-dimensional."""
-    measure = cfg.measure()
-    if measure.dimension != 1:
-        raise ConfigError([("measure.dimension", f"the {suite} suite needs d = 1, "
-                                                 f"got d = {measure.dimension}")])
-    return measure
-
-
-def _lattice_model(cfg: RunConfig, measure: IntensityMeasure,
-                   needed_by: str = None) -> Optional[LatticeModel]:
-    """The measure's lattice model; off the lattice, None or, for suite
-    `needed_by`, a ConfigError.  An invalid measure raises its own error."""
+def _lattice_model(cfg: RunConfig, measure: IntensityMeasure) -> Optional[LatticeModel]:
+    """The measure's lattice model, or None off the lattice; an invalid one raises."""
     try:
         return LatticeModel.from_measure(measure, cfg.tol("truncation"))
-    except UnsupportedMeasure as exc:
-        if needed_by is None:
-            return None
-        raise ConfigError([("measure", f"{needed_by} suite needs an "
-                                       f"integer-lattice measure: {exc}")])
-
-
-def _require_lattice(cfg: RunConfig, suite: str) -> LatticeModel:
-    return _lattice_model(cfg, _one_dimensional(cfg, suite), suite)
+    except UnsupportedMeasure:
+        return None
 
 
 # -- suites ------------------------------------------------------------------------
 
 def _suite_qi(cfg: RunConfig) -> Report:
-    measure = _one_dimensional(cfg, "qi")
+    measure, model = cfg.measure(), cfg.lattice()
     sigma = cfg.tol("sigma")
     rows: List[CheckRow] = []
-    model = _lattice_model(cfg, measure)
+    corpus = _resolve_corpus(cfg, "qi", continuous_corpus if model is None else lattice_corpus)
     if model is not None:
-        try:
-            ks = [k for k in cfg.suite_params("qi")["ks"] if model.mass(k) > 0.0]
-        except UnsupportedMeasure as exc:
-            raise ConfigError([("params.qi.ks", f"the marks of a lattice measure "
-                                                f"are lattice points: {exc}")])
-        corpus = _resolve_corpus(cfg, "qi")
+        ks = [k for k in cfg.suite_params("qi")["ks"] if model.mass(k) > 0.0]
         for F in corpus:
             if isinstance(F, CountFunctional):
                 continue  # the exact pipelines are for cylindrical functionals
@@ -506,12 +528,7 @@ def _suite_qi(cfg: RunConfig) -> Report:
                 rows.append(_exact_row(f"qi_exact[{F.name},k={k:+g}]",
                                        ANCHORS["qi_exact"], lhs, rhs,
                                        cfg.tol("exact_qi")))
-        mc_corpus = corpus
-    elif cfg.suite_params("qi").get("corpus") is not None:
-        mc_corpus = _resolve_corpus(cfg, "qi")
-    else:
-        mc_corpus = continuous_corpus(cfg.T)
-    for idx, F in enumerate(mc_corpus):
+    for idx, F in enumerate(corpus):
         comp = qi_mc(F, measure, cfg.T, cfg.samples, cfg.stream(idx))
         rows.append(_band_row(f"qi_mc[{F.name}]", ANCHORS["qi_stat"], comp.diff,
                               sigma, lhs=comp.lhs.mean, rhs=comp.rhs.mean))
@@ -519,9 +536,9 @@ def _suite_qi(cfg: RunConfig) -> Report:
 
 
 def _suite_poincare(cfg: RunConfig) -> Report:
-    model = _require_lattice(cfg, "poincare")
+    model = cfg.lattice()
     rows = []
-    for F in _resolve_corpus(cfg, "poincare"):
+    for F in _resolve_corpus(cfg, "poincare", lattice_corpus):
         if isinstance(F, CountFunctional):
             continue  # count maps are covered by the sharpness rows below
         rows.append(_bound_row(f"poincare[{F.name},n={len(F.times)}]",
@@ -541,12 +558,8 @@ def _suite_poincare(cfg: RunConfig) -> Report:
 
 
 def _suite_generator(cfg: RunConfig) -> Report:
-    model = _require_lattice(cfg, "generator")
+    model = cfg.lattice()
     params = cfg.suite_params("generator")
-    try:
-        _mark_point(model, params["pi_mark"])
-    except UnsupportedMeasure as exc:
-        raise ConfigError([("params.generator.pi_mark", f"must be an atom: {exc}")])
     sigma = cfg.tol("sigma")
     corpus = {F.name: F for F in lattice_corpus(cfg.T)}
     pairs = [(corpus["ind0_end"], corpus["ind1_half"]),
@@ -563,7 +576,7 @@ def _suite_generator(cfg: RunConfig) -> Report:
                               res.symmetry, sigma,
                               lhs=res.pairing_fg.mean, rhs=res.pairing_gf.mean))
     counts = pi_k_rank_counts(model.to_measure(), cfg.T, params["pi_mark"],
-                              int(params["rank_samples"]), cfg.stream(len(pairs)),
+                              params["rank_samples"], cfg.stream(len(pairs)),
                               max_count=max(params["rank_counts"]))
     alpha = cfg.tol("chi2_significance")
     for j in params["rank_counts"]:
@@ -581,7 +594,7 @@ def _suite_generator(cfg: RunConfig) -> Report:
 
 
 def _suite_semigroup(cfg: RunConfig) -> Report:
-    model = _require_lattice(cfg, "semigroup")
+    model = cfg.lattice()
     params = cfg.suite_params("semigroup")
     cases = [
         ("const", lambda pts: np.ones(np.shape(pts), dtype=float)),
@@ -598,7 +611,7 @@ def _suite_semigroup(cfg: RunConfig) -> Report:
 
 
 def _suite_smalltime(cfg: RunConfig) -> Report:
-    model = _require_lattice(cfg, "smalltime")
+    model = cfg.lattice()
     params = cfg.suite_params("smalltime")
     s_values = sorted((float(s) for s in params["s_values"]), reverse=True)
     table = small_time_table(model, params["points"], s_values)
@@ -624,12 +637,10 @@ def _witness(m: int, horizon: float) -> CountFunctional:
 
 def _suite_lsi(cfg: RunConfig) -> Report:
     params = cfg.suite_params("lsi")
-    ms = [int(m) for m in params["ms"]]
-    curve = lsi_witness_curve(cfg.T, ms)
+    curve = lsi_witness_curve(cfg.T, params["ms"])
     rows = []
     for m, ratio in curve:
-        stats = poisson_count_stats(_witness(m, cfg.T), cfg.T,
-                                    int(params["count_m_max"]))
+        stats = poisson_count_stats(_witness(m, cfg.T), cfg.T, params["count_m_max"])
         rows.append(_exact_row(f"witness_ratio[m={m}]", ANCHORS["lsi"],
                                ratio, stats.entropy / stats.energy,
                                cfg.tol("lsi_cross")))
@@ -649,9 +660,9 @@ def _suite_lsi(cfg: RunConfig) -> Report:
 
 
 def _suite_coupling(cfg: RunConfig) -> Report:
-    measure = _one_dimensional(cfg, "coupling")
+    measure = cfg.measure()
     params = cfg.suite_params("coupling")
-    levels = [int(n) for n in params["levels"]]
+    levels = params["levels"]
     sigma = cfg.tol("sigma")
     corpus = lipschitz_corpus(cfg.T)
     sqrt_d = math.sqrt(measure.dimension)
@@ -671,7 +682,7 @@ def _suite_coupling(cfg: RunConfig) -> Report:
                 yield evaluate_batch(F, proj) - bv
         yield excess
 
-    jumps, *diffs, excess = _run_chunked(int(params["samples"]), cfg.stream(0), chunk)
+    jumps, *diffs, excess = _run_chunked(params["samples"], cfg.stream(0), chunk)
     estimates = [diffs[li * len(corpus):(li + 1) * len(corpus)]
                  for li in range(len(levels))]
 
@@ -696,17 +707,7 @@ def _suite_coupling(cfg: RunConfig) -> Report:
 
 def _suite_sample(cfg: RunConfig) -> Report:
     params = cfg.suite_params("sample")
-    n_paths = params["n_paths"]
-    if not isinstance(n_paths, int) or isinstance(n_paths, bool) or n_paths < 0:
-        raise ConfigError([("params.sample.n_paths",
-                            f"must be an integer >= 0, got {n_paths!r}")])
-    level = params.get("project")
-    # the lattice scale 2**n and its spacing 2**-n must both be finite floats
-    if level is not None and (not isinstance(level, int) or isinstance(level, bool)
-                              or abs(level) >= sys.float_info.max_exp):
-        raise ConfigError([("params.sample.project",
-                            f"must be null or an integer with |project| < "
-                            f"{sys.float_info.max_exp}, got {level!r}")])
+    n_paths, level = params["n_paths"], params["project"]
     batch = sample_path_batch(cfg.measure(), cfg.T, cfg.stream(0).rng(), n_paths)
     if level is not None:
         batch = batch.project(level)
@@ -736,10 +737,38 @@ _SUITES: Dict[str, Callable[[RunConfig], Report]] = {
 }
 
 
+# what each suite needs of the measure: (d = 1, as its functionals are; the lattice)
+_MEASURE_NEEDS = {
+    "qi": (True, False), "poincare": (True, True), "generator": (True, True),
+    "semigroup": (True, True), "smalltime": (True, True), "lsi": (False, False),
+    "coupling": (True, False), "sample": (False, False),
+}
+
+# suite parameters whose rule reads the lattice model, checked when their
+# suite runs on the lattice: a default need not suit a measure it is not used on
+_LATTICE_RULES = {
+    "qi": ("ks", lambda model, ks: all(float(k).is_integer() for k in ks),
+           "must be lattice points, as the marks of a lattice measure are"),
+    "generator": ("pi_mark", lambda model, k: float(k).is_integer() and model.mass(k) > 0,
+                  "must be an atom of the lattice measure"),
+}
+
+
 def run_suite(name: str, cfg: RunConfig) -> Report:
-    """Execute one verification suite; a failed check is a pass=False row,
-    never an exception."""
+    """Execute one verification suite once what it needs of the measure holds
+    (else a ConfigError); a failed check is a pass=False row, never an exception."""
     if name not in _SUITES:
         raise ConfigError([("suite", f"unknown suite {name!r}; "
                                      f"choose from {', '.join(SUITE_NAMES)}")])
+    one_dimensional, lattice = _MEASURE_NEEDS[name]
+    d, model = cfg.measure().dimension, cfg.lattice()
+    if one_dimensional and d != 1:
+        raise ConfigError([("measure.dimension", f"the {name} suite needs d = 1, got d = {d}")])
+    if lattice and model is None:
+        raise ConfigError([("measure", f"the {name} suite needs an integer-lattice measure")])
+    if model is not None and name in _LATTICE_RULES:
+        key, ok, rule = _LATTICE_RULES[name]
+        value = cfg.suite_params(name)[key]
+        if not ok(model, value):
+            raise ConfigError([(f"params.{name}.{key}", f"{rule}, got {value!r}")])
     return _SUITES[name](cfg)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 import warnings
@@ -78,6 +80,89 @@ def test_config_builds_its_measure_once(monkeypatch):
     # the stored measure is left out of equality and repr
     assert direct == pf.RunConfig(measure_spec=cfg.measure_spec)
     assert "_measure" not in repr(direct)
+
+
+def test_config_builds_its_lattice_model_once(monkeypatch):
+    cfg = small_cfg(samples=2000, params={"generator": {"rank_samples": 2000}})
+    calls = []
+    monkeypatch.setattr(pf.IntensityMeasure, "validate", lambda self: calls.append(self))
+    for suite in ("qi", "generator", "semigroup", "smalltime"):
+        assert pf.run_suite(suite, cfg).overall_pass
+    assert calls == []
+    assert cfg.lattice() is cfg.lattice() and cfg.lattice().to_measure().dimension == 1
+    assert small_cfg(measure={"builtin": "gauss_shifted(0.5,1)"}).lattice() is None
+
+
+def test_direct_config_is_checked_and_canonicalized_like_json():
+    obj = {"measure": {"builtin": "gauss_shifted( 0.5, 1 )"}, "T": 2,
+           "tolerances": {"sigma": 5}}
+    direct = pf.RunConfig(measure_spec=obj["measure"], T=2, tolerances={"sigma": 5})
+    assert direct == pf.config_from_dict(obj)
+    assert direct.digest() == pf.config_from_dict(obj).digest()
+    assert direct.T == 2.0 and direct.tol("sigma") == 5.0
+    assert direct.tol("truncation") == harness.DEFAULT_TOLERANCES["truncation"]
+
+
+def test_rule_table_covers_every_settable_value():
+    # a field or suite parameter added without a rule fails here
+    fields = {f.name for f in dataclasses.fields(pf.RunConfig) if f.init}
+    sections = {"measure_spec", "tolerances", "params"}  # checked entry by entry
+    assert set(harness._RULES) == (fields - sections) | {
+        f"tolerances.{key}" for key in harness.DEFAULT_TOLERANCES} | {
+        f"params.{suite}.{key}" for suite, keys in harness.DEFAULT_PARAMS.items()
+        for key in keys}
+    # every default obeys its rule
+    pf.RunConfig(measure_spec={"builtin": "uniform_pm1"},
+                 tolerances=dict(harness.DEFAULT_TOLERANCES),
+                 params=copy.deepcopy(harness.DEFAULT_PARAMS))
+
+
+def _setting(path, value):
+    """The config object that sets one dotted field path to `value`."""
+    *outer, last = path.split(".")
+    obj = node = {}
+    for key in outer:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return obj
+
+
+# each is a ConfigError on its own field however the config is made
+BROKEN_RULES = [
+    ("params.semigroup.z", "ab"), ("params.smalltime.points", "x"),
+    ("params.poincare.sharpness_horizons", ["a"]), ("params.semigroup.quad_step", "x"),
+    ("params.poincare.count_m_max", "x"), ("params.lsi.ms", ["x"]), ("params.lsi.C", "x"),
+    ("params.generator.rank_samples", 1), ("params.lsi.ms", [5]),
+    ("params.semigroup.t", -1), ("params.smalltime.s_values", [2.0]),
+    ("params.lsi.ms", [0]), ("samples", 1), ("seed", "x"), ("T", -1.0),
+    ("tolerances.sigma", -1),
+    # a witness curve given out of order fails its increasing row for that alone
+    ("params.lsi.ms", [20, 10]),
+    ("params.qi.corpus", [{"family": "indicator_at", "time": 3.0, "value": 0.0}]),
+    ("params.poincare.corpus", [{"family": "fourier"}]),
+    ("params.qi.corpus", [3]), ("params.qi.corpus", [{"family": "capped_count", "cap": 1e400}]),
+    ("params.poincare.corpus", [{"family": "product_indicator", "times": [1.0, 0.5],
+                                 "values": [0, 0]}]),
+    ("params.bogus", {}), ("params.qi.bogus", 1), ("tolerances.bogus", 1.0), ("out", 3),
+]
+
+
+@pytest.mark.parametrize("path, value", BROKEN_RULES,
+                         ids=[f"{path}={json.dumps(value)}" for path, value in BROKEN_RULES])
+def test_value_rules_are_config_errors_on_their_field(tmp_path, capsys, path, value):
+    obj = {"samples": 2000, **_setting(path, value)}
+    with pytest.raises(ConfigError) as err:
+        pf.config_from_dict(obj)
+    assert [field for field, _ in err.value.fields] == [path]
+    with pytest.raises(ConfigError) as err:
+        pf.RunConfig(measure_spec={"builtin": "uniform_pm1"}, **obj)
+    assert [field for field, _ in err.value.fields] == [path]
+    spec = tmp_path / "cfg.json"
+    spec.write_text(json.dumps(obj))
+    parts = path.split(".")
+    suite = parts[1] if parts[0] == "params" and parts[1] in pf.SUITE_NAMES else "lsi"
+    assert cli.main([suite, "--config", str(spec)]) == 2
+    assert f"{path}: " in capsys.readouterr().err
 
 
 def test_negative_horizon_rejected():
@@ -339,14 +424,24 @@ def test_generator_rank_row_without_observations_fails():
     # 50 draws at T = 1 almost never hold a path with six +1 jumps
     cfg = small_cfg(samples=2000, params={
         "generator": {"rank_counts": [2, 6], "rank_samples": 50}})
-    rows = {row.name: row for row in pf.run_suite("generator", cfg).rows}
+    report = pf.run_suite("generator", cfg)
+    rows = {row.name: row for row in report.rows}
     assert rows["pi_rank_uniform[j=2]"].passed
     empty = rows["pi_rank_uniform[j=6]"]
     assert math.isnan(empty.lhs) and not empty.passed
+    # report.json stays strict JSON: the missing statistic is written as null
+    strict = json.loads(report.to_json(), parse_constant=_refuse_constant)
+    row, = [r for r in strict["rows"] if r["name"] == "pi_rank_uniform[j=6]"]
+    assert row["lhs"] is None and row["pass"] is False
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 @pytest.mark.parametrize("key, value", [
     ("levels", [3]), ("levels", []), ("levels", [1, 2.5]), ("levels", "ab"),
+    ("levels", [8, 1]),  # limit_bias would read the coarsest level, not the finest
     ("samples", 1), ("samples", 2.5), ("samples", True),
 ])
 def test_coupling_params_are_config_errors(tmp_path, capsys, key, value):
