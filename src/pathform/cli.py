@@ -4,11 +4,13 @@
 
 Suites: qi, poincare, generator, semigroup, smalltime, lsi, coupling,
 sample.  Exit code 0 when every check row passes, 1 when any row fails, 2 on
-a configuration error (any field or suite parameter that breaks its rule,
-such as `lsi.ms: [5]`, or a measure the suite cannot run on), 3 when a suite
-raises any other domain error (a refused oracle request, an unprojectable
-mark, ...).  The `sample` suite additionally accepts --measure (a
-measure-spec JSON file), --n and --project, and prints path dumps as JSON
+a configuration error: a field or suite parameter that breaks its rule
+(`lsi.ms: [5]`, `gauss_shifted(0,nan)`), or a need the suite checks when it
+runs (a measure it can run on, a `semigroup.quad_step` that cuts `t` evenly,
+`lsi` levels <= `count_m_max`, of Poisson(T) mass >= 1e-300, two >= T + 1).
+3 when a suite raises any other domain error (a refused oracle request, an
+unprojectable mark, ...).  The `sample` suite additionally accepts --measure
+(a measure-spec JSON file), --n and --project, and prints path dumps as JSON
 lines when no output directory is given.  PATHFORM_THREADS caps the worker
 count without affecting results.
 """
@@ -80,10 +82,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         report = run_suite(args.suite, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PathformError as exc:

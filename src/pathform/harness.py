@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -47,13 +47,11 @@ from .oracle import (
     poisson_count_stats,
     qi_check,
     semigroup_gap,
+    simpson_steps,
     small_time_table,
 )
 from .path import paths_to_jsonl
 from .sampler import StreamConfig, sample_path_batch
-
-SUITE_NAMES = ("qi", "poincare", "generator", "semigroup", "smalltime",
-               "lsi", "coupling", "sample")
 
 DEFAULT_TOLERANCES = {
     "sigma": 4.0,
@@ -65,18 +63,6 @@ DEFAULT_TOLERANCES = {
     "lsi_cross": 1e-9,
     "chi2_significance": 1e-3,
     "truncation": 1e-12,
-}
-
-DEFAULT_PARAMS: Dict[str, dict] = {
-    "qi": {"ks": [1.0, -1.0], "corpus": None},
-    "poincare": {"sharpness_horizons": [0.5, 1.0, 2.0], "count_m_max": 80,
-                 "corpus": None},
-    "generator": {"pi_mark": 1.0, "rank_counts": [2, 3], "rank_samples": 100000},
-    "semigroup": {"t": 1.0, "quad_step": 0.001, "z": 0},
-    "smalltime": {"s_values": [0.1, 0.01, 0.001], "points": [1, 2]},
-    "lsi": {"ms": list(range(10, 101, 10)), "C": 10.0, "count_m_max": 400},
-    "coupling": {"levels": list(range(1, 9)), "samples": 100000},
-    "sample": {"n_paths": 3, "project": None},
 }
 
 ANCHORS = {
@@ -126,7 +112,7 @@ class RunConfig:
         given = {"T": self.T, "seed": self.seed, "samples": self.samples, "out": self.out,
                  **_section("tolerances", self.tolerances, problems)}
         for path, extra in _section("params", self.params, problems).items():
-            if path[len("params."):] in DEFAULT_PARAMS:
+            if path[len("params."):] in _SUITES:
                 given.update(_section(path, extra, problems))
             else:
                 problems.append((path, "unknown suite"))
@@ -241,45 +227,14 @@ _SAMPLE_COUNT = (lambda v: _integer(v, 2), "must be an integer >= 2")
 _CORPUS = (lambda v: v is None or _list_of(lambda s: isinstance(s, dict), v, 1),
            "must be null or a non-empty list of functional specs (objects)")
 
-# (check, what a value must be) for every settable value of a RunConfig but its
-# measure (`IntensityMeasure.validate`'s), by the field its problem is reported on
-_RULES: Dict[str, Tuple[Callable, str]] = {
+# (check, what a value must be) for each top-level field and tolerance, by the
+# field its problem is reported on; suite parameters take theirs from `_SUITES`
+_FIELD_RULES: Dict[str, Tuple[Callable, str]] = {
     "T": _POSITIVE,
     "seed": (_integer, "must be an integer"),
     "samples": _SAMPLE_COUNT,
     "out": (lambda v: v is None or isinstance(v, str), "must be null or a string path"),
     **{f"tolerances.{key}": _POSITIVE for key in DEFAULT_TOLERANCES},
-    "params.qi.ks": (lambda v: _list_of(_finite_number, v),
-                     "must be a list of finite numbers"),
-    "params.qi.corpus": _CORPUS,
-    "params.poincare.sharpness_horizons": (lambda v: _list_of(_positive_finite, v),
-                                           "must be a list of finite positive numbers"),
-    "params.poincare.count_m_max": _COUNT,
-    "params.poincare.corpus": _CORPUS,
-    "params.generator.pi_mark": (_finite_number, "must be a finite number"),
-    "params.generator.rank_counts": (lambda v: _list_of(lambda j: _integer(j, 2), v, 1),
-                                     "must be a non-empty list of integers >= 2"),
-    "params.generator.rank_samples": _SAMPLE_COUNT,
-    "params.semigroup.t": _POSITIVE,
-    "params.semigroup.quad_step": _POSITIVE,
-    "params.semigroup.z": (lambda v: _integer(v, -_POINT, _POINT),
-                           "must be an integer in [-2**53, 2**53]"),
-    "params.smalltime.s_values": (
-        lambda v: _list_of(lambda s: _finite_number(s) and 0 < s <= 1, v, 1)
-        and _increasing(sorted(v)), "must be a non-empty list of distinct numbers in (0, 1]"),
-    "params.smalltime.points": (lambda v: _list_of(lambda p: _integer(p, -_POINT, _POINT), v),
-                                "must be a list of integers in [-2**53, 2**53]"),
-    "params.lsi.ms": (lambda v: _list_of(lambda m: _integer(m, 1), v, 2) and _increasing(v),
-                      "must be a strictly increasing list of at least two integers >= 1"),
-    "params.lsi.C": _POSITIVE,
-    "params.lsi.count_m_max": _COUNT,
-    "params.coupling.levels": (
-        lambda v: _list_of(lambda n: _integer(n, -_LEVEL, _LEVEL), v, 2) and _increasing(v),
-        f"must be a strictly increasing list of at least two integers in [-{_LEVEL}, {_LEVEL}]"),
-    "params.coupling.samples": _SAMPLE_COUNT,
-    "params.sample.n_paths": _COUNT,
-    "params.sample.project": (lambda v: v is None or _integer(v, -_LEVEL, _LEVEL),
-                              f"must be null or an integer in [-{_LEVEL}, {_LEVEL}]"),
 }
 
 # config-file keys and the RunConfig fields they set
@@ -330,7 +285,11 @@ class CheckRow:
     rhs: float
     diff: float
     threshold: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Every row's one verdict rule; a NaN diff or threshold fails it."""
+        return bool(self.diff <= self.threshold)
 
     def to_json_obj(self) -> dict:
         # a non-finite number, which JSON cannot hold, is written as null
@@ -390,28 +349,23 @@ def _finish(suite: str, cfg: RunConfig, rows: List[CheckRow],
 
 
 def _exact_row(name: str, anchor: str, lhs: float, rhs: float,
-               threshold: float) -> CheckRow:
-    diff = float(abs(lhs - rhs))
-    return CheckRow(name=name, kind="exact", anchor=anchor, lhs=float(lhs),
-                    rhs=float(rhs), diff=diff, threshold=float(threshold),
-                    passed=bool(diff <= threshold))
+               threshold: float, kind: str = "exact") -> CheckRow:
+    return CheckRow(name=name, kind=kind, anchor=anchor, lhs=float(lhs), rhs=float(rhs),
+                    diff=float(abs(lhs - rhs)), threshold=float(threshold))
 
 
 def _bound_row(name: str, anchor: str, lhs: float, rhs: float, threshold: float,
                kind: str) -> CheckRow:
     """A one-sided bound lhs <= rhs, within threshold; NaN fails it."""
-    diff = lhs - rhs
     return CheckRow(name=name, kind=kind, anchor=anchor, lhs=lhs, rhs=rhs,
-                    diff=diff, threshold=threshold, passed=diff <= threshold)
+                    diff=lhs - rhs, threshold=threshold)
 
 
 def _band_row(name: str, anchor: str, est, sigma: float, lhs: float,
               rhs: float) -> CheckRow:
     """A mean-zero statistic `est` of lhs - rhs, checked inside its sigma band."""
-    thr = sigma * est.stderr
-    diff = abs(est.mean)
     return CheckRow(name=name, kind="statistical", anchor=anchor, lhs=float(lhs),
-                    rhs=float(rhs), diff=diff, threshold=thr, passed=diff <= thr)
+                    rhs=float(rhs), diff=abs(est.mean), threshold=sigma * est.stderr)
 
 
 # -- functional corpora ------------------------------------------------------------
@@ -494,10 +448,10 @@ def functional_from_spec(spec: dict, T: float):
     return built
 
 
-def _resolve_corpus(cfg: RunConfig, suite: str, default) -> List[CylindricalFunctional]:
+def _resolve_corpus(cfg: RunConfig, params: dict, default) -> List[CylindricalFunctional]:
     """The default corpus at T, or the config-supplied builtin functionals
     (whose specs the config checked against T when it was made)."""
-    specs = cfg.suite_params(suite)["corpus"]
+    specs = params["corpus"]
     if specs is None:
         return default(cfg.T)
     return [functional_from_spec(spec, cfg.T) for spec in specs]
@@ -513,13 +467,13 @@ def _lattice_model(cfg: RunConfig, measure: IntensityMeasure) -> Optional[Lattic
 
 # -- suites ------------------------------------------------------------------------
 
-def _suite_qi(cfg: RunConfig) -> Report:
+def _suite_qi(cfg: RunConfig, params: dict) -> Report:
     measure, model = cfg.measure(), cfg.lattice()
     sigma = cfg.tol("sigma")
     rows: List[CheckRow] = []
-    corpus = _resolve_corpus(cfg, "qi", continuous_corpus if model is None else lattice_corpus)
+    corpus = _resolve_corpus(cfg, params, continuous_corpus if model is None else lattice_corpus)
     if model is not None:
-        ks = [k for k in cfg.suite_params("qi")["ks"] if model.mass(k) > 0.0]
+        ks = [k for k in params["ks"] if model.mass(k) > 0.0]
         for F in corpus:
             if isinstance(F, CountFunctional):
                 continue  # the exact pipelines are for cylindrical functionals
@@ -535,16 +489,15 @@ def _suite_qi(cfg: RunConfig) -> Report:
     return _finish("qi", cfg, rows)
 
 
-def _suite_poincare(cfg: RunConfig) -> Report:
+def _suite_poincare(cfg: RunConfig, params: dict) -> Report:
     model = cfg.lattice()
     rows = []
-    for F in _resolve_corpus(cfg, "poincare", lattice_corpus):
+    for F in _resolve_corpus(cfg, params, lattice_corpus):
         if isinstance(F, CountFunctional):
             continue  # count maps are covered by the sharpness rows below
         rows.append(_bound_row(f"poincare[{F.name},n={len(F.times)}]",
                                ANCHORS["poincare"], *poincare_check(model, cfg.T, F),
                                cfg.tol("poincare"), "exact"))
-    params = cfg.suite_params("poincare")
     identity = CountFunctional(g=lambda c: c.astype(float), name="count")
     for horizon in params["sharpness_horizons"]:
         stats = poisson_count_stats(identity, horizon, params["count_m_max"])
@@ -557,9 +510,8 @@ def _suite_poincare(cfg: RunConfig) -> Report:
     return _finish("poincare", cfg, rows)
 
 
-def _suite_generator(cfg: RunConfig) -> Report:
+def _suite_generator(cfg: RunConfig, params: dict) -> Report:
     model = cfg.lattice()
-    params = cfg.suite_params("generator")
     sigma = cfg.tol("sigma")
     corpus = {F.name: F for F in lattice_corpus(cfg.T)}
     pairs = [(corpus["ind0_end"], corpus["ind1_half"]),
@@ -588,14 +540,12 @@ def _suite_generator(cfg: RunConfig) -> Report:
         threshold = float(2.0 * gammaincinv((j - 1) / 2, 1.0 - alpha))
         rows.append(CheckRow(name=f"pi_rank_uniform[j={j}]", kind="statistical",
                              anchor=ANCHORS["pi_rank"], lhs=stat, rhs=threshold,
-                             diff=stat, threshold=threshold,
-                             passed=stat <= threshold))
+                             diff=stat, threshold=threshold))
     return _finish("generator", cfg, rows)
 
 
-def _suite_semigroup(cfg: RunConfig) -> Report:
+def _suite_semigroup(cfg: RunConfig, params: dict) -> Report:
     model = cfg.lattice()
-    params = cfg.suite_params("semigroup")
     cases = [
         ("const", lambda pts: np.ones(np.shape(pts), dtype=float)),
         ("linear", lambda pts: np.asarray(pts, dtype=float)),
@@ -610,9 +560,8 @@ def _suite_semigroup(cfg: RunConfig) -> Report:
     return _finish("semigroup", cfg, rows)
 
 
-def _suite_smalltime(cfg: RunConfig) -> Report:
+def _suite_smalltime(cfg: RunConfig, params: dict) -> Report:
     model = cfg.lattice()
-    params = cfg.suite_params("smalltime")
     s_values = sorted((float(s) for s in params["s_values"]), reverse=True)
     table = small_time_table(model, params["points"], s_values)
     rows = [_bound_row(f"rate_bound[s={row.s:g}]", ANCHORS["smalltime"],
@@ -620,12 +569,10 @@ def _suite_smalltime(cfg: RunConfig) -> Report:
             for row in table]
     for point in table[0].deviations:
         for bigger, smaller in zip(table, table[1:]):
-            a = abs(bigger.deviations[point])
-            b = abs(smaller.deviations[point])
-            rows.append(CheckRow(
-                name=f"rate_converges[l={point},s={smaller.s:g}<{bigger.s:g}]",
-                kind="exact", anchor=ANCHORS["smalltime"], lhs=b, rhs=a,
-                diff=b - a, threshold=0.0, passed=b < a))
+            rows.append(_bound_row(
+                f"rate_converges[l={point},s={smaller.s:g}<{bigger.s:g}]",
+                ANCHORS["smalltime"], abs(smaller.deviations[point]),
+                abs(bigger.deviations[point]), 0.0, "exact"))
     return _finish("smalltime", cfg, rows)
 
 
@@ -635,8 +582,7 @@ def _witness(m: int, horizon: float) -> CountFunctional:
                            name=f"norm_ind[N={m}]")
 
 
-def _suite_lsi(cfg: RunConfig) -> Report:
-    params = cfg.suite_params("lsi")
+def _suite_lsi(cfg: RunConfig, params: dict) -> Report:
     curve = lsi_witness_curve(cfg.T, params["ms"])
     rows = []
     for m, ratio in curve:
@@ -644,24 +590,23 @@ def _suite_lsi(cfg: RunConfig) -> Report:
         rows.append(_exact_row(f"witness_ratio[m={m}]", ANCHORS["lsi"],
                                ratio, stats.entropy / stats.energy,
                                cfg.tol("lsi_cross")))
-    ratios = [r for _, r in curve]
+    # the curve rises at every level >= T + 1 (and may fall below it)
+    ratios = [r for m, r in curve if m >= cfg.T + 1]
     min_step = min(b - a for a, b in zip(ratios, ratios[1:]))
     rows.append(CheckRow(name="witness_ratio_increasing", kind="exact",
                          anchor=ANCHORS["lsi"], lhs=min_step, rhs=0.0,
-                         diff=-min_step, threshold=0.0, passed=min_step > 0.0))
+                         diff=-min_step, threshold=0.0))
     c = float(params["C"])
     level = lsi_exceed_level(cfg.T, c)
     ratio_at = dict(lsi_witness_curve(cfg.T, [level]))[level]
     rows.append(CheckRow(name=f"exceeds_C[{c:g}]_at_m={level}", kind="exact",
                          anchor=ANCHORS["lsi"], lhs=ratio_at, rhs=c,
-                         diff=c - ratio_at, threshold=0.0,
-                         passed=ratio_at > c))
+                         diff=c - ratio_at, threshold=0.0))
     return _finish("lsi", cfg, rows)
 
 
-def _suite_coupling(cfg: RunConfig) -> Report:
+def _suite_coupling(cfg: RunConfig, params: dict) -> Report:
     measure = cfg.measure()
-    params = cfg.suite_params("coupling")
     levels = params["levels"]
     sigma = cfg.tol("sigma")
     corpus = lipschitz_corpus(cfg.T)
@@ -705,8 +650,7 @@ def _suite_coupling(cfg: RunConfig) -> Report:
     return _finish("coupling", cfg, rows)
 
 
-def _suite_sample(cfg: RunConfig) -> Report:
-    params = cfg.suite_params("sample")
+def _suite_sample(cfg: RunConfig, params: dict) -> Report:
     n_paths, level = params["n_paths"], params["project"]
     batch = sample_path_batch(cfg.measure(), cfg.T, cfg.stream(0).rng(), n_paths)
     if level is not None:
@@ -717,58 +661,109 @@ def _suite_sample(cfg: RunConfig) -> Report:
                           batch.marks, batch.offsets)
     written = blob.count("\n")
     digest = hashlib.sha256(blob.encode()).hexdigest()
-    rows = [CheckRow(name="paths_written", kind="deterministic",
-                     anchor=ANCHORS["sample"], lhs=float(written),
-                     rhs=float(n_paths), diff=float(written - n_paths),
-                     threshold=0.0, passed=written == n_paths)]
+    rows = [_exact_row("paths_written", ANCHORS["sample"], written, n_paths, 0.0,
+                       "deterministic")]
     return _finish("sample", cfg, rows,
                    artifacts={"paths_jsonl": blob, "paths_sha256": digest})
 
 
-_SUITES: Dict[str, Callable[[RunConfig], Report]] = {
-    "qi": _suite_qi,
-    "poincare": _suite_poincare,
-    "generator": _suite_generator,
-    "semigroup": _suite_semigroup,
-    "smalltime": _suite_smalltime,
-    "lsi": _suite_lsi,
-    "coupling": _suite_coupling,
-    "sample": _suite_sample,
-}
+# -- one record per suite ------------------------------------------------------------
+
+class _Suite(NamedTuple):
+    """A suite: its runner; each parameter's default beside its (check, rule),
+    checked when a config is made; and its needs, (field, check(cfg, params),
+    rule), checked in order by `run_suite`, so each may rely on those before
+    it.  Needs wait for the run: a default need not suit a measure it is not
+    used on (`pi_mark` 1.0 is no atom of {2: 1}, yet `sample` runs on it)."""
+
+    run: Callable[[RunConfig, dict], Report]
+    params: Dict[str, Tuple[object, Tuple[Callable, str]]]
+    needs: Tuple[Tuple[str, Callable, str], ...] = ()
 
 
-# what each suite needs of the measure: (d = 1, as its functionals are; the lattice)
-_MEASURE_NEEDS = {
-    "qi": (True, False), "poincare": (True, True), "generator": (True, True),
-    "semigroup": (True, True), "smalltime": (True, True), "lsi": (False, False),
-    "coupling": (True, False), "sample": (False, False),
+_D1 = ("measure.dimension", lambda cfg, p: cfg.measure().dimension == 1, "d = 1")
+_ON_LATTICE = ("measure", lambda cfg, p: cfg.lattice() is not None, "an integer-lattice measure")
+_WITNESS_MASS = 1e-300  # keeps a witness 1/sqrt(p), its square and entropy finite
+
+_SUITES: Dict[str, _Suite] = {
+    "qi": _Suite(_suite_qi, {
+        "ks": ([1.0, -1.0], (lambda v: _list_of(_finite_number, v),
+                             "must be a list of finite numbers")),
+        "corpus": (None, _CORPUS),
+    }, (_D1, ("params.qi.ks", lambda cfg, p: cfg.lattice() is None or all(
+        float(k).is_integer() for k in p["ks"]), "lattice points on a lattice measure"))),
+    "poincare": _Suite(_suite_poincare, {
+        "sharpness_horizons": ([0.5, 1.0, 2.0], (lambda v: _list_of(_positive_finite, v),
+                                                 "must be a list of finite positive numbers")),
+        "count_m_max": (80, _COUNT),
+        "corpus": (None, _CORPUS),
+    }, (_D1, _ON_LATTICE)),
+    "generator": _Suite(_suite_generator, {
+        "pi_mark": (1.0, (_finite_number, "must be a finite number")),
+        "rank_counts": ([2, 3], (lambda v: _list_of(lambda j: _integer(j, 2), v, 1),
+                                 "must be a non-empty list of integers >= 2")),
+        "rank_samples": (100000, _SAMPLE_COUNT),
+    }, (_D1, _ON_LATTICE,
+        ("params.generator.pi_mark", lambda cfg, p: float(p["pi_mark"]).is_integer()
+         and cfg.lattice().mass(p["pi_mark"]) > 0, "an atom of the lattice measure"))),
+    "semigroup": _Suite(_suite_semigroup, {
+        "t": (1.0, _POSITIVE),
+        "quad_step": (0.001, _POSITIVE),
+        "z": (0, (lambda v: _integer(v, -_POINT, _POINT),
+                  "must be an integer in [-2**53, 2**53]")),
+    }, (_D1, _ON_LATTICE,
+        ("params.semigroup.quad_step", lambda cfg, p: simpson_steps(p["t"], p["quad_step"]) > 0,
+         "a quad_step that cuts t into an even number of Simpson steps"))),
+    "smalltime": _Suite(_suite_smalltime, {
+        "s_values": ([0.1, 0.01, 0.001], (
+            lambda v: _list_of(lambda s: _finite_number(s) and 0 < s <= 1, v, 1)
+            and _increasing(sorted(v)), "must be a non-empty list of distinct numbers in (0, 1]")),
+        "points": ([1, 2], (lambda v: _list_of(lambda p: _integer(p, -_POINT, _POINT), v),
+                            "must be a list of integers in [-2**53, 2**53]")),
+    }, (_D1, _ON_LATTICE)),
+    "lsi": _Suite(_suite_lsi, {
+        "ms": (list(range(10, 101, 10)), (
+            lambda v: _list_of(lambda m: _integer(m, 1, _POINT), v, 2) and _increasing(v),
+            "must be a strictly increasing list of at least two integers in [1, 2**53]")),
+        "C": (10.0, _POSITIVE),
+        "count_m_max": (400, _COUNT),
+    }, (("params.lsi.ms", lambda cfg, p: poisson.pmf(np.asarray(p["ms"]), cfg.T).min()
+         >= _WITNESS_MASS, f"witness levels of Poisson(T) mass >= {_WITNESS_MASS:g}"),
+        ("params.lsi.ms", lambda cfg, p: sum(m >= cfg.T + 1 for m in p["ms"]) >= 2,
+         "two witness levels >= T + 1, where the ratio curve rises"),
+        ("params.lsi.count_m_max", lambda cfg, p: p["count_m_max"] >= p["ms"][-1],
+         "count_m_max >= every witness level, so the count stats see each witness"))),
+    "coupling": _Suite(_suite_coupling, {
+        "levels": (list(range(1, 9)), (
+            lambda v: _list_of(lambda n: _integer(n, -_LEVEL, _LEVEL), v, 2) and _increasing(v),
+            f"must be a strictly increasing list of at least two integers in "
+            f"[-{_LEVEL}, {_LEVEL}]")),
+        "samples": (100000, _SAMPLE_COUNT),
+    }, (_D1,)),
+    "sample": _Suite(_suite_sample, {
+        "n_paths": (3, _COUNT),
+        "project": (None, (lambda v: v is None or _integer(v, -_LEVEL, _LEVEL),
+                           f"must be null or an integer in [-{_LEVEL}, {_LEVEL}]")),
+    }),
 }
 
-# suite parameters whose rule reads the lattice model, checked when their
-# suite runs on the lattice: a default need not suit a measure it is not used on
-_LATTICE_RULES = {
-    "qi": ("ks", lambda model, ks: all(float(k).is_integer() for k in ks),
-           "must be lattice points, as the marks of a lattice measure are"),
-    "generator": ("pi_mark", lambda model, k: float(k).is_integer() and model.mass(k) > 0,
-                  "must be an atom of the lattice measure"),
-}
+SUITE_NAMES = tuple(_SUITES)
+DEFAULT_PARAMS = {name: {key: default for key, (default, _) in suite.params.items()}
+                  for name, suite in _SUITES.items()}
+_RULES = {**_FIELD_RULES, **{f"params.{name}.{key}": rule for name, suite in _SUITES.items()
+                             for key, (_, rule) in suite.params.items()}}
 
 
 def run_suite(name: str, cfg: RunConfig) -> Report:
-    """Execute one verification suite once what it needs of the measure holds
-    (else a ConfigError); a failed check is a pass=False row, never an exception."""
+    """Execute one verification suite once its needs hold (else a ConfigError on
+    the first that fails); a failed check is a pass=False row, never an exception."""
     if name not in _SUITES:
         raise ConfigError([("suite", f"unknown suite {name!r}; "
                                      f"choose from {', '.join(SUITE_NAMES)}")])
-    one_dimensional, lattice = _MEASURE_NEEDS[name]
-    d, model = cfg.measure().dimension, cfg.lattice()
-    if one_dimensional and d != 1:
-        raise ConfigError([("measure.dimension", f"the {name} suite needs d = 1, got d = {d}")])
-    if lattice and model is None:
-        raise ConfigError([("measure", f"the {name} suite needs an integer-lattice measure")])
-    if model is not None and name in _LATTICE_RULES:
-        key, ok, rule = _LATTICE_RULES[name]
-        value = cfg.suite_params(name)[key]
-        if not ok(model, value):
-            raise ConfigError([(f"params.{name}.{key}", f"{rule}, got {value!r}")])
-    return _SUITES[name](cfg)
+    suite, params = _SUITES[name], cfg.suite_params(name)
+    for path, ok, rule in suite.needs:
+        if not ok(cfg, params):
+            key = path.rpartition(".")[2]
+            got = f", got {params[key]!r}" if path.startswith("params.") else ""
+            raise ConfigError([(path, f"the {name} suite needs {rule}{got}")])
+    return suite.run(cfg, params)

@@ -215,8 +215,9 @@ def uniform_pm1() -> IntensityMeasure:
 
 
 def uniform_interval(a: float, b: float) -> IntensityMeasure:
-    if not a < b:
-        raise ConfigError([("builtin", f"uniform_interval needs a < b, got ({a}, {b})")])
+    if not (a < b and math.isfinite(b - a)):  # numpy draws a + (b - a) u
+        raise ConfigError([("measure.builtin", f"uniform_interval needs a < b, b - a "
+                                               f"finite, got ({a}, {b})")])
 
     def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(a, b, size=(size, 1))
@@ -225,8 +226,11 @@ def uniform_interval(a: float, b: float) -> IntensityMeasure:
 
 
 def gauss_shifted(mean: float, sd: float) -> IntensityMeasure:
-    if sd <= 0:
-        raise ConfigError([("builtin", f"gauss_shifted needs sd > 0, got {sd}")])
+    # numpy draws mean + sd z with |z| < 14 (its ziggurat's largest tail draw
+    # is 3.65 + log(2**53) / 3.65), so this bound keeps every draw finite
+    if not (sd > 0 and math.isfinite(abs(mean) + 16.0 * sd)):
+        raise ConfigError([("measure.builtin", f"gauss_shifted needs sd > 0, |mean| + "
+                                               f"16 sd finite, got ({mean}, {sd})")])
 
     def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(mean, sd, size=(size, 1))

@@ -500,6 +500,13 @@ def simpson(values: np.ndarray, dx: float) -> float:
     return float(np.dot(weights, values)) * dx / 3.0
 
 
+def simpson_steps(t: float, quad_step: float) -> int:
+    """The even number (>= 2) of steps of size `quad_step` that cut t, to
+    within 1e-9 relative, or 0 when there is none."""
+    steps = round(t / quad_step) if quad_step > 0 and t / quad_step < math.inf else 0
+    return steps if steps >= 2 and not steps % 2 and abs(steps * quad_step - t) <= 1e-9 * t else 0
+
+
 def semigroup_gap(model: LatticeModel, f: Callable[[np.ndarray], np.ndarray],
                   t: float, z=0, quad_step: float = 1e-3) -> Tuple[float, float]:
     """Variance of P_t f at z against the integrated square field.
@@ -514,10 +521,8 @@ def semigroup_gap(model: LatticeModel, f: Callable[[np.ndarray], np.ndarray],
     t = float(t)
     if not 0 < t < math.inf:
         raise TimeOutOfRange(f"t must be finite and positive, got {t}")
-    if not quad_step > 0:
-        raise UnsortedTimes(f"quad_step must be positive, got {quad_step}")
-    steps = round(t / quad_step)
-    if steps < 2 or steps % 2 or abs(steps * quad_step - t) > 1e-9 * t:
+    steps = simpson_steps(t, quad_step)
+    if not steps:
         raise UnsortedTimes(
             f"quad_step {quad_step} must cut t={t} into an even number of steps")
     d = model.dimension
@@ -680,7 +685,7 @@ def lsi_witness_curve(horizon: float, ms: Sequence[int]) -> List[Tuple[int, floa
 
 
 def lsi_exceed_level(horizon: float, c: float) -> int:
-    """Smallest witness level found whose ratio exceeds c.
+    """A witness level whose ratio exceeds c: double the level, then bisect.
 
     The ratio grows like T log m, so the crossing sits near exp(c / T);
     levels stay evaluable in double precision up to about 1e300.
@@ -692,10 +697,6 @@ def lsi_exceed_level(horizon: float, c: float) -> int:
             raise TruncationTooCoarse(
                 "crossing level exceeds the double-precision range")
     lo = max(1, hi // 2)
-    if hi - lo <= 4096:
-        for m in range(lo, hi + 1):
-            if witness_ratio(horizon, m) > c:
-                return m
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if witness_ratio(horizon, mid) > c:

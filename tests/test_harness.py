@@ -144,6 +144,12 @@ BROKEN_RULES = [
     ("params.poincare.corpus", [{"family": "product_indicator", "times": [1.0, 0.5],
                                  "values": [0, 0]}]),
     ("params.bogus", {}), ("params.qi.bogus", 1), ("tolerances.bogus", 1.0), ("out", 3),
+    # a level past 2**53 is not exact as a float
+    ("params.lsi.ms", [10, 2**53 + 1]),
+    # builtin arguments must be finite, and so must the draws they give
+    ("measure.builtin", "gauss_shifted(0,nan)"), ("measure.builtin", "gauss_shifted(nan,1)"),
+    ("measure.builtin", "gauss_shifted(inf,1)"), ("measure.builtin", "gauss_shifted(0,1e308)"),
+    ("measure.builtin", "uniform_interval(0,inf)"), ("measure.builtin", "uniform_interval(2,1)"),
 ]
 
 
@@ -154,8 +160,9 @@ def test_value_rules_are_config_errors_on_their_field(tmp_path, capsys, path, va
     with pytest.raises(ConfigError) as err:
         pf.config_from_dict(obj)
     assert [field for field, _ in err.value.fields] == [path]
+    direct = {harness._FIELDS[key]: val for key, val in obj.items()}
     with pytest.raises(ConfigError) as err:
-        pf.RunConfig(measure_spec={"builtin": "uniform_pm1"}, **obj)
+        pf.RunConfig(**{"measure_spec": {"builtin": "uniform_pm1"}, **direct})
     assert [field for field, _ in err.value.fields] == [path]
     spec = tmp_path / "cfg.json"
     spec.write_text(json.dumps(obj))
@@ -163,6 +170,39 @@ def test_value_rules_are_config_errors_on_their_field(tmp_path, capsys, path, va
     suite = parts[1] if parts[0] == "params" and parts[1] in pf.SUITE_NAMES else "lsi"
     assert cli.main([suite, "--config", str(spec)]) == 2
     assert f"{path}: " in capsys.readouterr().err
+
+
+# each breaks a need its suite checks when it runs: a ConfigError on its field
+BROKEN_NEEDS = [
+    ("semigroup", {"params": {"semigroup": {"quad_step": 0.3}}}, "params.semigroup.quad_step"),
+    # Poisson(1000) gives level 10 a mass that underflows to 0
+    ("lsi", {"T": 1000}, "params.lsi.ms"),
+    ("lsi", {"params": {"lsi": {"ms": [10, 200]}}}, "params.lsi.ms"),
+    # no default level is >= T + 1, where the witness curve rises
+    ("lsi", {"T": 200}, "params.lsi.ms"),
+    ("lsi", {"T": 0.1, "params": {"lsi": {"count_m_max": 10, "ms": [50, 100]}}},
+     "params.lsi.count_m_max"),
+]
+
+
+@pytest.mark.parametrize("suite, obj, path", BROKEN_NEEDS,
+                         ids=[json.dumps(obj) for _, obj, _ in BROKEN_NEEDS])
+def test_needs_are_config_errors_on_their_field(tmp_path, capsys, suite, obj, path):
+    with pytest.raises(ConfigError) as err:
+        pf.run_suite(suite, pf.config_from_dict({"samples": 2000, **obj}))
+    assert [field for field, _ in err.value.fields] == [path]
+    spec = tmp_path / "cfg.json"
+    spec.write_text(json.dumps({"samples": 2000, **obj}))
+    assert cli.main([suite, "--config", str(spec)]) == 2
+    assert f"{path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("T", [15.0, 20.0, 50.0])
+def test_lsi_passes_at_long_horizons(T):
+    # the witness curve falls below m = T and rises from m = T + 1 on
+    report = pf.run_suite("lsi", pf.default_config(T=T))
+    assert report.overall_pass
+    assert cli.main(["lsi", "--T", str(T)]) == 0
 
 
 def test_negative_horizon_rejected():
@@ -465,6 +505,20 @@ def test_report_files(tmp_path):
     assert len(csv_lines) == 1 + len(report.rows)
     dumped = (out / "paths.jsonl").read_text()
     assert dumped == report.artifacts["paths_jsonl"]
+
+
+def test_row_verdict_is_diff_within_threshold():
+    row = pf.CheckRow(name="r", kind="exact", anchor="", lhs=0.0, rhs=0.0, diff=0.0,
+                      threshold=0.0)
+    assert row.passed and row.to_json_obj()["pass"] is True
+    assert not dataclasses.replace(row, diff=math.nan).passed
+    assert not dataclasses.replace(row, threshold=math.nan).passed
+
+
+def test_smalltime_rows_pass_at_an_unreachable_point():
+    # p_s(100)/s underflows to 0.0 at every s, so each deviation is exactly 0.0
+    report = pf.run_suite("smalltime", small_cfg(params={"smalltime": {"points": [100]}}))
+    assert report.overall_pass
 
 
 def test_reports_bit_identical_across_reruns():
