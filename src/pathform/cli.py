@@ -7,12 +7,13 @@ sample.  Exit code 0 when every check row passes, 1 when any row fails, 2 on
 a configuration error: a field or suite parameter that breaks its rule
 (`lsi.ms: [5]`, `gauss_shifted(0,nan)`), or a need the suite checks when it
 runs (a measure it can run on, a `semigroup.quad_step` that cuts `t` evenly,
-`lsi` levels <= `count_m_max`, of Poisson(T) mass >= 1e-300, two >= T + 1).
-3 when a suite raises any other domain error (a refused oracle request, an
-unprojectable mark, ...).  The `sample` suite additionally accepts --measure
-(a measure-spec JSON file), --n and --project, and prints path dumps as JSON
-lines when no output directory is given.  PATHFORM_THREADS caps the worker
-count without affecting results.
+`lsi` levels <= `count_m_max`, of Poisson(T) mass >= 1e-300, two >= T + 1; a
+`poincare` or `lsi` `count_m_max` with a count tail estimate <= 1e-9, which 80
+is not at a sharpness horizon of 60).  3 on any other domain error (a refused
+oracle request, like `GridTooLarge` for a tiny `semigroup.quad_step`, ...).
+The `sample` suite also takes --measure (a measure-spec JSON file), --n and
+--project, and prints path dumps as JSON lines when no output directory is
+given.  PATHFORM_THREADS caps the worker count without affecting results.
 """
 
 from __future__ import annotations

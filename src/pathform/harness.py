@@ -39,7 +39,9 @@ from .functional import (
 )
 from .intensity import IntensityMeasure, measure_from_spec
 from .oracle import (
+    COUNT_TAIL_TOL,
     LatticeModel,
+    count_tail_estimate,
     lsi_exceed_level,
     lsi_witness_curve,
     poincare_check,
@@ -498,9 +500,8 @@ def _suite_poincare(cfg: RunConfig, params: dict) -> Report:
         rows.append(_bound_row(f"poincare[{F.name},n={len(F.times)}]",
                                ANCHORS["poincare"], *poincare_check(model, cfg.T, F),
                                cfg.tol("poincare"), "exact"))
-    identity = CountFunctional(g=lambda c: c.astype(float), name="count")
     for horizon in params["sharpness_horizons"]:
-        stats = poisson_count_stats(identity, horizon, params["count_m_max"])
+        stats = poisson_count_stats(_COUNT_MAP, horizon, params["count_m_max"])
         rows.append(_exact_row(f"sharp_variance[T={horizon:g}]",
                                ANCHORS["sharpness"], stats.variance, horizon,
                                cfg.tol("sharpness")))
@@ -574,6 +575,9 @@ def _suite_smalltime(cfg: RunConfig, params: dict) -> Report:
                 ANCHORS["smalltime"], abs(smaller.deviations[point]),
                 abs(bigger.deviations[point]), 0.0, "exact"))
     return _finish("smalltime", cfg, rows)
+
+
+_COUNT_MAP = CountFunctional(g=lambda c: c.astype(float), name="count")
 
 
 def _witness(m: int, horizon: float) -> CountFunctional:
@@ -697,7 +701,10 @@ _SUITES: Dict[str, _Suite] = {
                                                  "must be a list of finite positive numbers")),
         "count_m_max": (80, _COUNT),
         "corpus": (None, _CORPUS),
-    }, (_D1, _ON_LATTICE)),
+    }, (_D1, _ON_LATTICE,
+        ("params.poincare.count_m_max", lambda cfg, p: all(count_tail_estimate(
+            _COUNT_MAP, h, p["count_m_max"]) <= COUNT_TAIL_TOL for h in p["sharpness_horizons"]),
+         f"a count map tail estimate <= {COUNT_TAIL_TOL:g} at every sharpness horizon"))),
     "generator": _Suite(_suite_generator, {
         "pi_mark": (1.0, (_finite_number, "must be a finite number")),
         "rank_counts": ([2, 3], (lambda v: _list_of(lambda j: _integer(j, 2), v, 1),
@@ -732,7 +739,10 @@ _SUITES: Dict[str, _Suite] = {
         ("params.lsi.ms", lambda cfg, p: sum(m >= cfg.T + 1 for m in p["ms"]) >= 2,
          "two witness levels >= T + 1, where the ratio curve rises"),
         ("params.lsi.count_m_max", lambda cfg, p: p["count_m_max"] >= p["ms"][-1],
-         "count_m_max >= every witness level, so the count stats see each witness"))),
+         "count_m_max >= every witness level, so the count stats see each witness"),
+        ("params.lsi.count_m_max", lambda cfg, p: all(count_tail_estimate(
+            _witness(m, cfg.T), cfg.T, p["count_m_max"]) <= COUNT_TAIL_TOL for m in p["ms"]),
+         f"a tail estimate <= {COUNT_TAIL_TOL:g} for every witness at T"))),
     "coupling": _Suite(_suite_coupling, {
         "levels": (list(range(1, 9)), (
             lambda v: _list_of(lambda n: _integer(n, -_LEVEL, _LEVEL), v, 2) and _increasing(v),

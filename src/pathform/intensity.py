@@ -1,9 +1,9 @@
-"""Jump-size (intensity) measures: validation, sampling, dyadic discretization.
+"""Jump-size (intensity) measures: validation, sampling, dyadic projection.
 
-A measure is either a finite list of weighted atoms in R^d (never at the
-origin, unless the atom arose from discretization and is explicitly flagged)
-or a black-box sampler producing d-vectors.  Discretization snaps points to
-the dyadic lattice 2^{-n} Z^d by componentwise floor.
+A measure is either a finite list of weighted atoms in R^d, never at the
+origin, or a black-box sampler producing d-vectors, never the origin: a jump
+of size zero is no jump.  `project_mark` snaps marks to the dyadic lattice
+2^{-n} Z^d by componentwise floor; paths drop the marks it sends to zero.
 """
 
 from __future__ import annotations
@@ -64,23 +64,19 @@ def project_mark(x, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntensityMeasure:
-    """Distribution of a single jump mark on R^d minus the origin.
+    """Distribution of a single jump mark on R^d minus the origin: `validate`
+    refuses an origin atom, and `sample_batch` an origin draw.
 
     Exactly one of (`points`, `masses`) or `sampler` is set, selecting the
-    discrete or the continuous variant.  `origin_flagged` marks discrete
-    measures that legitimately carry an origin atom produced by
-    `discretize`; path builders drop the resulting zero marks.  A measure
-    is validated once, when it is built, and a discrete one computes the
-    cut points of its mark draws then too, so no two threads race to fill
-    them in.
+    discrete or the continuous variant.  A measure is validated once, when
+    it is built, and a discrete one computes the cut points of its mark
+    draws then too, so no two threads race to fill them in.
     """
 
     dimension: int
     points: Optional[np.ndarray] = None
     masses: Optional[np.ndarray] = None
     sampler: Optional[ContinuousSampler] = None
-    description: str = ""
-    origin_flagged: bool = False
     _cuts: Optional[np.ndarray] = field(default=None, init=False, repr=False,
                                         compare=False)
 
@@ -95,8 +91,7 @@ class IntensityMeasure:
             object.__setattr__(self, "_cuts", cuts)
 
     @classmethod
-    def discrete(cls, atoms: Sequence, dimension: Optional[int] = None,
-                 origin_flagged: bool = False) -> "IntensityMeasure":
+    def discrete(cls, atoms: Sequence, dimension: Optional[int] = None) -> "IntensityMeasure":
         """Build from `[(point, mass), ...]`; points may be scalars for d=1."""
         rows = [np.atleast_1d(p) for p, _ in atoms]
         shapes = {r.shape for r in rows}
@@ -109,14 +104,11 @@ class IntensityMeasure:
             dimension = pts.shape[1]
         pts.setflags(write=False)
         ms.setflags(write=False)
-        return cls(dimension=int(dimension), points=pts, masses=ms,
-                   origin_flagged=origin_flagged)
+        return cls(dimension=int(dimension), points=pts, masses=ms)
 
     @classmethod
-    def continuous(cls, sampler: ContinuousSampler, dimension: int,
-                   description: str = "") -> "IntensityMeasure":
-        return cls(dimension=int(dimension), sampler=sampler,
-                   description=description)
+    def continuous(cls, sampler: ContinuousSampler, dimension: int) -> "IntensityMeasure":
+        return cls(dimension=int(dimension), sampler=sampler)
 
     @property
     def kind(self) -> str:
@@ -151,7 +143,7 @@ class IntensityMeasure:
             if key in seen:
                 raise NonProbability(f"duplicate atom at {row}")
             seen.add(key)
-        if not self.origin_flagged and np.any(np.all(pts == 0.0, axis=1)):
+        if np.any(np.all(pts == 0.0, axis=1)):
             raise AtomAtOrigin("discrete measure charges the origin")
 
     # -- sampling ---------------------------------------------------------
@@ -185,26 +177,9 @@ class IntensityMeasure:
         if draws.shape != (size, self.dimension):
             raise DimensionMismatch(
                 f"sampler returned shape {draws.shape}, expected {(size, self.dimension)}")
-        if not self.origin_flagged and size and np.any(np.all(draws == 0.0, axis=1)):
+        if size and np.any(np.all(draws == 0.0, axis=1)):
             raise AtomAtOrigin("continuous sampler produced the origin")
         return draws
-
-    # -- discretization ---------------------------------------------------
-
-    def discretize(self, n: int) -> "IntensityMeasure":
-        """Push atoms onto 2^{-n} Z^d, merging masses that land together.
-
-        Continuous measures are discretized per-sample via `project_mark`
-        at path-construction time, never at the measure level.
-        """
-        if self.kind == "continuous":
-            raise UnsupportedVariant("discretize is defined for discrete measures only")
-        merged: dict = {}
-        for row, m in zip(project_mark(self.points, n).tolist(), self.masses):
-            # float tuples compare by value, as `validate` compares atoms
-            merged[tuple(row)] = merged.get(tuple(row), 0.0) + m
-        return IntensityMeasure.discrete(list(merged.items()), dimension=self.dimension,
-                                         origin_flagged=any(not any(row) for row in merged))
 
 
 # -- builtins --------------------------------------------------------------
@@ -222,7 +197,7 @@ def uniform_interval(a: float, b: float) -> IntensityMeasure:
     def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(a, b, size=(size, 1))
 
-    return IntensityMeasure.continuous(_draw, 1, f"uniform on [{a}, {b}]")
+    return IntensityMeasure.continuous(_draw, 1)
 
 
 def gauss_shifted(mean: float, sd: float) -> IntensityMeasure:
@@ -235,7 +210,7 @@ def gauss_shifted(mean: float, sd: float) -> IntensityMeasure:
     def _draw(rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(mean, sd, size=(size, 1))
 
-    return IntensityMeasure.continuous(_draw, 1, f"normal({mean}, {sd}^2)")
+    return IntensityMeasure.continuous(_draw, 1)
 
 
 _BUILTIN_RE = re.compile(r"^([a-z_0-9]+)(?:\(([^)]*)\))?$")

@@ -10,8 +10,8 @@ silently dropped.  One engine builds the convolution powers: dense arrays on
 the integer box that holds the first M of them (`LatticeModel._dense_basis`,
 one step `nu * a` at a time).  The transition tables and the semigroup
 kernel are Poisson-weighted sums of those powers, and the count-weighted
-tables propagate pairs with the same step; a box over the memory budget
-raises `GridTooLarge` before it is allocated.  On top of the transition
+tables propagate pairs with the same step.  Any table over the memory
+budget raises `GridTooLarge` before it is allocated.  On top of the transition
 tables sit chained-increment expectations for cylindrical functionals,
 count-weighted expectations for the shifted-law density identity, both sides
 of the variance/energy inequality, the semigroup variance identity,
@@ -41,8 +41,7 @@ from .intensity import IntensityMeasure
 
 LatticePoint = Tuple[int, ...]
 
-# Largest IncrementGrid (padded coordinates, values and weights) or stack of
-# convolution powers, in bytes, the oracle builds.
+# Most bytes one table of the oracle may take (`_within_budget` refuses more).
 GRID_BUDGET_BYTES = 512 * 2**20
 # Bytes of P_{t-s} f over one block of quadrature nodes in semigroup_gap;
 # blocks keep memory bounded for long t or d > 1.
@@ -66,6 +65,13 @@ class _Poisson:
 
 
 poisson = _Poisson()
+
+
+def _within_budget(nbytes: int, what: str) -> None:
+    """Refuse, before anything is allocated, arrays over the memory budget."""
+    if nbytes > GRID_BUDGET_BYTES:
+        raise GridTooLarge(f"{what} need {nbytes / 2**20:.1f} MiB, over the "
+                           f"{GRID_BUDGET_BYTES / 2**20:.0f} MiB budget")
 
 
 def _as_point(x, dimension: int) -> LatticePoint:
@@ -171,12 +177,8 @@ class LatticeModel:
         lo = np.minimum(supp.min(axis=0), 0) * m_top
         hi = np.maximum(supp.max(axis=0), 0) * m_top
         shape = tuple((hi - lo + 1).tolist())
-        nbytes = (m_top + 1) * math.prod(shape) * 8
-        if nbytes > GRID_BUDGET_BYTES:
-            raise GridTooLarge(
-                f"convolution powers 0..{m_top} on the box {shape} need "
-                f"{nbytes / 2**20:.1f} MiB, over the "
-                f"{GRID_BUDGET_BYTES / 2**20:.0f} MiB budget")
+        _within_budget((m_top + 1) * math.prod(shape) * 8,
+                       f"convolution powers 0..{m_top} on the box {shape}")
         mat = np.zeros((m_top + 1,) + shape)
         mat[(0,) + tuple((-lo).tolist())] = 1.0
         for m in range(1, m_top + 1):
@@ -312,12 +314,9 @@ class IncrementGrid:
                                  for x, w in zip(model.pmf, where[1:])})
         base_shape = tuple(len(p) for p in probs)
         self.shape = tuple(len(s) for s in supports)
-        nbytes = (math.prod(self.shape) * (n * d + 1) + math.prod(base_shape)) * 8
-        if nbytes > GRID_BUDGET_BYTES:
-            raise GridTooLarge(
-                f"increment grid of shape {base_shape} (padded {self.shape}) "
-                f"needs {nbytes / 2**20:.1f} MiB for coordinates, values and "
-                f"weights, over the {GRID_BUDGET_BYTES / 2**20:.0f} MiB budget")
+        _within_budget((math.prod(self.shape) * (n * d + 1) + math.prod(base_shape)) * 8,
+                       f"coordinates, values and weights of the increment grid of "
+                       f"shape {base_shape} (padded {self.shape})")
         weights = probs[0]
         for p in probs[1:]:
             weights = np.multiply.outer(weights, p)
@@ -528,6 +527,8 @@ def semigroup_gap(model: LatticeModel, f: Callable[[np.ndarray], np.ndarray],
     d = model.dimension
     z_pt = np.asarray(_as_point(z, d), dtype=np.int64)
     m_top, _ = poisson_truncation(t, model.truncation_tolerance)
+    _within_budget((steps + 1) * (m_top + 3) * 8, f"nodes, Poisson weights and "
+                   f"integrand of {steps} Simpson steps over the counts 0..{m_top}")
     lo0, basis = model._dense_basis(m_top)
     box = basis.shape[1:]
     supp = np.asarray(sorted(model.pmf.keys()), dtype=np.int64)
@@ -620,6 +621,20 @@ class CountStats(NamedTuple):
     entropy: float
 
 
+def count_tail_estimate(g: CountFunctional, horizon: float, m_max: int) -> float:
+    """The error `poisson_count_stats` risks by cutting the counts at m_max:
+    the worst |g| on the 17 counts past m_max, weighted by the Poisson tail.
+
+    A heuristic, not a bound: g beyond the window is not seen, so a g that
+    grows faster further out can pass COUNT_TAIL_TOL with a larger error.
+    """
+    worst = float(np.max(np.abs(_apply_counts(g, np.arange(m_max + 1, m_max + 18)))))
+    wsq = worst * worst
+    tail = float(poisson.sf(m_max, horizon))
+    return tail * max(1.0, worst, 4.0 * wsq,
+                      wsq * (1.0 + abs(math.log(wsq)) if wsq > 0 else 0.0))
+
+
 def poisson_count_stats(g: CountFunctional, horizon: float, m_max: int) -> CountStats:
     """Exact truncated statistics of g(N) for N ~ Poisson(T).
 
@@ -627,28 +642,21 @@ def poisson_count_stats(g: CountFunctional, horizon: float, m_max: int) -> Count
     almost surely, so the squared shift difference of g(N) is exactly the
     forward-difference square, and the combined shift-time and mark
     integrations contribute total weight one.  Entropy uses natural log with
-    0 log 0 = 0.  `g` is evaluated once, on the counts 0..m_max + 17.
-
-    The truncation guard is a heuristic, not a bound: it reads |g| only on
-    the 17 counts past m_max, so a g that grows faster further out can
-    pass it with an error above COUNT_TAIL_TOL.
+    0 log 0 = 0.  `g` is evaluated on the counts 0..m_max + 17, and a
+    `count_tail_estimate` over COUNT_TAIL_TOL raises TruncationTooCoarse.
     """
     # comparisons written so that NaN fails them
     if not 0 <= horizon < math.inf:
         raise TimeOutOfRange(f"horizon must be finite and >= 0, got {horizon}")
     m_max = int(m_max)
-    values = _apply_counts(g, np.arange(m_max + 18))
-    # heuristic tail estimate: the worst |g| on a 17-term window past the
-    # cutoff, weighted by the Poisson tail; g beyond the window is not seen
-    worst = float(np.max(np.abs(values[m_max + 1:])))
-    wsq = worst * worst
-    tail = float(poisson.sf(m_max, horizon))
-    est = tail * max(1.0, worst, 4.0 * wsq,
-                     wsq * (1.0 + abs(math.log(wsq)) if wsq > 0 else 0.0))
-    if est > COUNT_TAIL_TOL:
+    _within_budget(2 * (m_max + 2) * 8,
+                   f"values of g and Poisson weights on the counts 0..{m_max + 1}")
+    est = count_tail_estimate(g, horizon, m_max)
+    if not est <= COUNT_TAIL_TOL:
         raise TruncationTooCoarse(
             f"heuristic tail estimate {est:.3e} (|g| probed on "
             f"{m_max + 1}..{m_max + 17} only) exceeds {COUNT_TAIL_TOL:.3e}; raise m_max")
+    values = _apply_counts(g, np.arange(m_max + 2))
     pm = poisson.pmf(np.arange(m_max + 2), horizon)
     head, ph = values[:m_max + 1], pm[:m_max + 1]
     mean = float(np.dot(ph, head))

@@ -153,8 +153,8 @@ def _path_order(path_ids: np.ndarray, raw_times: np.ndarray,
 def sample_path_batch(measure: IntensityMeasure, horizon: float,
                       rng: np.random.Generator, size: int) -> PathBatch:
     """`size` paths: Poisson(T) jump counts, jump times as per-path-sorted
-    uniforms, then i.i.d. marks.  Zero marks (possible only for flagged
-    discretized measures) are dropped as no-op jumps.
+    uniforms, then i.i.d. marks, none of them zero (`IntensityMeasure`
+    refuses an origin atom or draw).
 
     Times are ordered by one stable argsort of `path_id + t / T`; when
     rounding merges two distinct times of one path into one key, the batch
@@ -166,14 +166,6 @@ def sample_path_batch(measure: IntensityMeasure, horizon: float,
     path_ids = np.repeat(np.arange(size, dtype=np.int64), counts)
     times = raw_times[_path_order(path_ids, raw_times, horizon)]
     marks = measure.sample_batch(rng, total)
-    # validation rules out zero marks for every measure not origin-flagged
-    if measure.origin_flagged:
-        keep = ~np.all(marks == 0.0, axis=1)
-        if not np.all(keep):
-            path_ids = path_ids[keep]
-            times = times[keep]
-            marks = marks[keep]
-            counts = np.bincount(path_ids, minlength=size)
     return PathBatch(float(horizon), measure.dimension, counts,
                      times, marks, path_ids)
 
@@ -203,9 +195,8 @@ class ShiftedBatch:
         return base_coords + self.xi[:, None, :] * mask[:, :, None]
 
     def shifted_counts(self) -> np.ndarray:
-        """Jump counts of the shifted paths (zero shift marks are no-ops)."""
-        incr = (~np.all(self.xi == 0.0, axis=1)).astype(np.int64)
-        return self.base.counts + incr
+        """Jump counts of the shifted paths: one more each (no mark is zero)."""
+        return self.base.counts + 1
 
 
 def sample_shifted_batch(measure: IntensityMeasure, horizon: float,

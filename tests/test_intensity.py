@@ -12,7 +12,6 @@ from pathform.errors import (
     DimensionMismatch,
     NonProbability,
     UnsupportedMeasure,
-    UnsupportedVariant,
 )
 
 
@@ -178,65 +177,6 @@ def test_continuous_sampler_shape_checked():
         lambda rng, size: np.ones((size, 2)), dimension=1)
     with pytest.raises(DimensionMismatch):
         bad.sample_batch(pf.StreamConfig(seed=1).rng(), 4)
-
-
-# -- discretization ----------------------------------------------------------
-
-def test_discretize_floor_to_integers():
-    m = pf.IntensityMeasure.discrete([(1.3, 1.0)])
-    out = m.discretize(0)
-    assert out.points.tolist() == [[1.0]]
-    assert out.masses.tolist() == [1.0]
-
-
-def test_discretize_fixes_lattice_points(pm1):
-    out = pm1.discretize(3)
-    assert np.array_equal(out.points, pm1.points)
-    assert np.array_equal(out.masses, pm1.masses)
-
-
-def test_discretize_mixed_atoms_with_origin_flag():
-    # expected cells computed by direct floor arithmetic
-    expected = {0.5 * math.floor(2 * 0.4): 0.7, 0.5 * math.floor(2 * -0.6): 0.3}
-    m = pf.IntensityMeasure.discrete([(0.4, 0.7), (-0.6, 0.3)])
-    out = m.discretize(1)
-    got = {float(p[0]): float(w) for p, w in zip(out.points, out.masses)}
-    assert got == expected == {0.0: 0.7, -1.0: 0.3}
-    assert out.origin_flagged
-    out.validate()  # flagged origin atom is legal
-
-
-def test_discretize_merges_signed_zero_coordinates():
-    # (1, -0.0) and (1, 0.3) both land on (1, 0) at level 0: one atom
-    m = pf.IntensityMeasure.discrete([((1.0, -0.0), 0.25), ((1.0, 0.3), 0.75)])
-    out = m.discretize(0)
-    assert out.points.tolist() == [[1.0, 0.0]]
-    assert out.masses.tolist() == [1.0]
-    assert not out.origin_flagged
-
-
-def test_discretize_continuous_rejected(u12):
-    with pytest.raises(UnsupportedVariant):
-        u12.discretize(2)
-
-
-@given(st.lists(st.tuples(st.floats(-8, 8).filter(lambda x: abs(x) > 1e-6),
-                          st.integers(1, 20)),
-                min_size=1, max_size=6, unique_by=lambda t: t[0]),
-       st.integers(0, 6))
-def test_discretize_preserves_mass(atoms, n):
-    total = sum(w for _, w in atoms)
-    m = pf.IntensityMeasure.discrete([(x, w / total) for x, w in atoms])
-    out = m.discretize(n)
-    assert abs(out.masses.sum() - 1.0) <= 1e-12
-
-
-def test_discretize_idempotent_on_own_lattice():
-    m = pf.IntensityMeasure.discrete([(0.75, 0.4), (-1.25, 0.6)])
-    once = m.discretize(2)
-    again = once.discretize(2)
-    assert np.array_equal(once.points, again.points)
-    assert np.array_equal(once.masses, again.masses)
 
 
 # -- project_mark -------------------------------------------------------------

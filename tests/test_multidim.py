@@ -41,14 +41,6 @@ def test_path_ops_with_vector_marks():
     assert p.sup_distance(JumpPath.empty(1.0, 2)) == math.sqrt(2.0)
 
 
-def test_discretize_in_two_dimensions():
-    m = pf.IntensityMeasure.discrete([((1.3, -0.6), 0.5), ((0.2, 0.8), 0.5)])
-    out = m.discretize(1)
-    got = {tuple(p): w for p, w in zip(out.points, out.masses)}
-    assert got == {(1.0, -1.0): 0.5, (0.0, 0.5): 0.5}
-    assert not out.origin_flagged
-
-
 def test_transition_pmf_normalized_d2(model2):
     t = pf.transition_pmf(model2, 0.8)
     assert abs(sum(t.probs.tolist()) + t.tail_mass - 1.0) <= 1e-10

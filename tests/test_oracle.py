@@ -409,6 +409,29 @@ def test_grid_budget_counts_padded_coordinates_values_and_weights(monkeypatch):
         pf.IncrementGrid(model, 1.0, F.times)
 
 
+def test_semigroup_and_count_tables_refuse_sizes_over_budget(monkeypatch, pm1_model):
+    # the quadrature holds steps + 1 nodes, Poisson weights of the counts
+    # 0..m_top at each node and the integrand there; the count stats hold
+    # g's values and the Poisson weights on the counts 0..m_max + 1
+    m_top, _ = pf.poisson_truncation(1.0, pm1_model.truncation_tolerance)
+    count = pf.CountFunctional(g=lambda c: c.astype(float))
+    cases = [
+        (lambda: pf.semigroup_gap(pm1_model, lambda pts: np.asarray(pts, dtype=float),
+                                  1.0, 0, 1e-3),
+         1001 * (m_top + 3) * 8, r"1000 Simpson steps over the counts 0\.\.%d" % m_top),
+        (lambda: pf.poisson_count_stats(count, 1.0, 80), 82 * 2 * 8, r"counts 0\.\.81 "),
+    ]
+    for call, need, what in cases:
+        monkeypatch.setattr(pf.oracle, "GRID_BUDGET_BYTES", need)
+        call()
+        monkeypatch.setattr(pf.oracle, "GRID_BUDGET_BYTES", need - 1)
+        with pytest.raises(GridTooLarge, match=what):
+            call()
+    monkeypatch.undo()
+    with pytest.raises(GridTooLarge, match="512 MiB"):
+        pf.poisson_count_stats(count, 1.0, 10**30)
+
+
 def test_expect_truncation_guard(pm1_model):
     F = pf.indicator_at(1.0, 0.0)
     with pytest.raises(TruncationTooCoarse):

@@ -192,7 +192,7 @@ def test_batch_coords_match_path_coordinates(u12):
 def _gauss2():
     def draw(rng, size):
         return rng.normal(0.3, 1.0, size=(size, 2))
-    return pf.IntensityMeasure.continuous(draw, 2, "normal2")
+    return pf.IntensityMeasure.continuous(draw, 2)
 
 
 @pytest.mark.parametrize("measure", [pf.uniform_pm1(), pf.gauss_shifted(0.5, 1.0),
@@ -235,14 +235,3 @@ def test_batch_determinism_and_law(pm1):
     a = sample_path_batch(pm1, 1.0, StreamConfig(seed=44).rng(), 5000)
     b = sample_path_batch(pm1, 1.0, StreamConfig(seed=44).rng(), 5000)
     assert np.array_equal(a.times, b.times) and np.array_equal(a.marks, b.marks)
-
-
-def test_flagged_measure_drops_zero_marks():
-    flagged = pf.IntensityMeasure.discrete([(0.0, 0.5), (1.0, 0.5)],
-                                           origin_flagged=True)
-    rng = StreamConfig(seed=47).rng()
-    p = pf.sample_path(flagged, 5.0, rng)
-    assert np.all(p.marks != 0.0)
-    batch = sample_path_batch(flagged, 5.0, StreamConfig(seed=48).rng(), 200)
-    assert np.all(batch.marks != 0.0)
-    assert np.array_equal(np.bincount(batch.path_ids, minlength=200), batch.counts)

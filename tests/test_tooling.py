@@ -3,6 +3,7 @@ a renamed or removed public name fails here rather than in a demo run or a
 benchmark run."""
 
 import importlib.util
+import json
 import runpy
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import pytest
 
 import pathform as pf
 from pathform import functional, sampler
+
+pytest_plugins = ["pytester"]
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -118,3 +121,20 @@ def test_tracer_sees_the_convolution_engine():
     assert powers and all(by_id[span[1]][2] == "oracle.dense_basis" for span in powers)
     (table,) = [span for span in warm if span[2] == "oracle.transition_pmf"]
     assert not [span for span in warm if span[1] == table[0]]
+
+
+def test_a_failing_property_test_does_not_abort_the_session(pytester):
+    # reporting a failing @given test makes hypothesis import modules that
+    # warn; under the project's warning filters the session must go on
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        filters = tomllib.load(fh)["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    pytester.makepyprojecttoml(
+        f"[tool.pytest.ini_options]\nfilterwarnings = {json.dumps(filters)}\n")
+    pytester.makepyfile(
+        test_a="from hypothesis import given, strategies as st\n\n\n"
+               "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n",
+        test_b="def test_runs():\n    pass\n")
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1, passed=1)
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()
