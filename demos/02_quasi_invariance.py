@@ -26,8 +26,9 @@ for F in lattice_corpus(T):
 print()
 print("== Monte Carlo, marks uniform on [1, 2] ==")
 measure = pf.uniform_interval(1.0, 2.0)
-for idx, F in enumerate(continuous_corpus(T)):
-    comp = pf.qi_mc(F, measure, T, 300_000, pf.StreamConfig(seed=7, stream_index=idx))
+corpus = continuous_corpus(T)
+# one shifted sample set serves every functional: the identity holds for each F
+for F, comp in zip(corpus, pf.qi_mc(corpus, measure, T, 300_000, pf.StreamConfig(seed=7))):
     z = abs(comp.diff.mean) / comp.diff.stderr if comp.diff.stderr else 0.0
     print(f"{F.name:<12} E F(shifted)={comp.lhs.mean:+.5f} "
           f"E[F N]/T={comp.rhs.mean:+.5f}  |z|={z:.2f}")

@@ -58,7 +58,8 @@ class CylindricalFunctional:
 
     `f` is vectorized over paths: it takes the coordinates of N paths as an
     (N, n) array when d = 1, or (N, n, d) in general, column j holding
-    path(t_j), and returns N values.
+    path(t_j), and returns N values.  It must not write into that array,
+    which may be a read-only view of coordinates other functionals share.
     """
 
     times: Tuple[float, ...]
@@ -172,12 +173,16 @@ def _apply_counts(F: CountFunctional, counts) -> np.ndarray:
     return np.asarray(F.g(counts), dtype=float).reshape(len(counts))
 
 
+def _refuse_past_horizon(F: CylindricalFunctional, horizon: float) -> None:
+    if F.times[-1] > horizon:
+        raise HorizonMismatch(
+            f"functional needs t={F.times[-1]} but paths end at {horizon}")
+
+
 def _coords_at(F: CylindricalFunctional, batch: PathBatch) -> np.ndarray:
     """The batch's (B, n, d) coordinates at F's times; a functional that
     reads past the paths' horizon is refused."""
-    if F.times[-1] > batch.horizon:
-        raise HorizonMismatch(
-            f"functional needs t={F.times[-1]} but paths end at {batch.horizon}")
+    _refuse_past_horizon(F, batch.horizon)
     return batch.coords_at(F.times)
 
 
@@ -207,16 +212,38 @@ def gamma(F: PathFunctional, G: PathFunctional, t: float, x,
             * (evaluate(G, shifted) - evaluate(G, path)))
 
 
-def _shifted_pair_values(F: PathFunctional, sb: ShiftedBatch):
-    """(base coordinates, base values, shifted values) for a batch, without
-    path rebuilding; a count functional has no coordinates (None)."""
-    if isinstance(F, CountFunctional):
-        return (None, _apply_counts(F, sb.base.counts),
-                _apply_counts(F, sb.shifted_counts()))
-    base_coords = _coords_at(F, sb.base)
-    vb = _apply_rows(F, base_coords)
-    vs = _apply_rows(F, sb.shifted_coords(F.times, base_coords))
-    return base_coords, vb, vs
+def _shifted_values(Fs: Sequence[PathFunctional], sb: ShiftedBatch):
+    """Yield (base coordinates, base values, shifted values) for each
+    functional in turn, all read off one batch without path rebuilding.
+
+    Base and shifted coordinates are built once, at the union of the
+    functionals' times; each functional reads its own columns (a view
+    where they are adjacent), so its values are the ones a batch built at
+    its times alone would give.  The shared coordinates are read-only, so a
+    functional that writes into its input cannot alter another's.  A count
+    functional has no coordinates (None).  Every functional is checked
+    against the horizon before any coordinate is built.
+    """
+    cylindrical = [F for F in Fs if isinstance(F, CylindricalFunctional)]
+    for F in cylindrical:
+        _refuse_past_horizon(F, sb.base.horizon)
+    union = sorted({t for F in cylindrical for t in F.times})
+    column = {t: j for j, t in enumerate(union)}
+    if union:
+        base = sb.base.coords_at(union)
+        shifted = sb.shifted_coords(union, base)
+        base.flags.writeable = shifted.flags.writeable = False
+    for F in Fs:
+        if isinstance(F, CountFunctional):
+            yield (None, _apply_counts(F, sb.base.counts),
+                   _apply_counts(F, sb.shifted_counts()))
+            continue
+        lo, hi = column[F.times[0]], column[F.times[-1]] + 1
+        cols = (slice(lo, hi) if hi - lo == len(F.times)
+                else [column[t] for t in F.times])
+        base_coords = base[:, cols, :]
+        yield (base_coords, _apply_rows(F, base_coords),
+               _apply_rows(F, shifted[:, cols, :]))
 
 
 # -- chunked deterministic reduction ------------------------------------------
@@ -293,7 +320,7 @@ def energy_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
 
     def chunk(rng, size):
         sb = sample_shifted_batch(measure, horizon, rng, size)
-        _, vb, vs = _shifted_pair_values(F, sb)
+        _, vb, vs = next(_shifted_values([F], sb))
         d = vs - vb
         return [d * d]
 
@@ -314,19 +341,33 @@ def moments_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
     return Moments(mean=mean, second_moment=second, entropy=entropy)
 
 
-def qi_mc(F: PathFunctional, measure: IntensityMeasure, horizon: float,
-          n_samples: int, cfg: StreamConfig) -> QIComparison:
-    """Statistical check of the shifted-path law: E F(shifted) against
-    E[F(base) * N_T] / T on common samples."""
+def qi_mc(Fs: Sequence[PathFunctional], measure: IntensityMeasure,
+          horizon: float, n_samples: int, cfg: StreamConfig) -> List[QIComparison]:
+    """Statistical check of the shifted-path law for each functional: E
+    F(shifted) against E[F(base) * N_T] / T on common samples.
+
+    The identity holds for every F, so one shifted sample per chunk serves
+    every functional (common random numbers): entry j is the result a call
+    on `[Fs[j]]` alone gives, and the entries are correlated.
+    """
+
+    def entry(values, counts):
+        # one functional's arrays: they are freed when this generator ends,
+        # before the next functional's are built
+        _, vb, vs = next(values)
+        rhs = vb * counts / horizon
+        yield vs
+        yield rhs
+        yield vs - rhs
 
     def chunk(rng, size):
         sb = sample_shifted_batch(measure, horizon, rng, size)
-        _, vb, vs = _shifted_pair_values(F, sb)
-        rhs = vb * sb.base.counts / horizon
-        return [vs, rhs, vs - rhs]
+        values = _shifted_values(Fs, sb)
+        for _ in Fs:
+            yield from entry(values, sb.base.counts)
 
-    lhs, rhs, diff = _run_chunked(n_samples, cfg, chunk)
-    return QIComparison(lhs=lhs, rhs=rhs, diff=diff)
+    est = _run_chunked(n_samples, cfg, chunk)
+    return [QIComparison(*est[j:j + 3]) for j in range(0, len(est), 3)]
 
 
 # -- conditional shift-time distribution ---------------------------------------
@@ -410,7 +451,7 @@ def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
     """Vectorized generator values for every path in a batch.
 
     `base_coords` and `vb` are the batch's coordinates at F's times and F's
-    values there, as `_shifted_pair_values` returns them (a count
+    values there, as `_shifted_values` yields them (a count
     functional has no coordinates and ignores both)."""
     T = float(horizon)
     if isinstance(F, CountFunctional):
@@ -422,10 +463,12 @@ def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
     deltas = np.diff(np.concatenate([[0.0], times]))
     first = np.zeros(batch.size)
     for key, w in model.pmf.items():
-        kvec = np.asarray(key, dtype=float)
+        # a shift from coordinate i on moves columns i.. by k: start with
+        # every column moved, then put back one column per step
+        shifted = base_coords + np.asarray(key, dtype=float)
         for i in range(len(times)):
-            shifted = base_coords.copy()
-            shifted[:, i:, :] += kvec
+            if i:
+                shifted[:, i - 1, :] = base_coords[:, i - 1, :]
             first += w * deltas[i] * (_apply_rows(F, shifted) - vb)
     second = np.zeros(batch.size)
     if len(batch.times):
@@ -437,30 +480,49 @@ def _generator_values_batch(F: PathFunctional, batch: PathBatch, model,
     return (first + second) / T
 
 
-def pairing_mc(F: PathFunctional, G: PathFunctional, model, horizon: float,
-               n_samples: int, cfg: StreamConfig) -> PairingResult:
-    """Quadratic form and both generator pairings on one sample set.
+def pairing_mc(pairs: Sequence[Tuple[PathFunctional, PathFunctional]], model,
+               horizon: float, n_samples: int,
+               cfg: StreamConfig) -> List[PairingResult]:
+    """Quadratic form and both generator pairings for each (F, G) pair.
 
-    Sampling uses the lattice model's own jump measure.  Per-sample residual
-    statistics are included because the estimates share samples and their
-    difference has a directly estimable standard error.
+    Sampling uses the lattice model's own jump measure, and one shifted
+    sample per chunk serves every pair: entry j is the result a call on
+    `[pairs[j]]` alone gives.  Per-sample residual statistics are included
+    because the estimates share samples and their difference has a
+    directly estimable standard error.
     """
     measure = model.to_measure()
+    # G is F: one evaluation serves both sides
+    functionals = [H for F, G in pairs for H in ((F,) if G is F else (F, G))]
 
-    def chunk(rng, size):
-        sb = sample_shifted_batch(measure, horizon, rng, size)
-        fc, fb, fs = _shifted_pair_values(F, sb)
-        gc, gb, gs = _shifted_pair_values(G, sb)
-        lf = _generator_values_batch(F, sb.base, model, horizon, fc, fb)
-        lg = _generator_values_batch(G, sb.base, model, horizon, gc, gb)
+    def entry(F, G, values, base):
+        # one pair's arrays: they are freed when this generator ends, before
+        # the next pair's are built
+        fc, fb, fs = next(values)
+        lf = _generator_values_batch(F, base, model, horizon, fc, fb)
+        if G is F:
+            gb, gs, lg = fb, fs, lf
+        else:
+            gc, gb, gs = next(values)
+            lg = _generator_values_batch(G, base, model, horizon, gc, gb)
         form = (fs - fb) * (gs - gb)
         fg = gb * lf
         gf = fb * lg
-        return [form, fg, gf, form + fg, form + gf, fg - gf]
+        yield form
+        yield fg
+        yield gf
+        yield form + fg
+        yield form + gf
+        yield fg - gf
 
-    form, fg, gf, idfg, idgf, sym = _run_chunked(n_samples, cfg, chunk)
-    return PairingResult(form=form, pairing_fg=fg, pairing_gf=gf,
-                         identity_fg=idfg, identity_gf=idgf, symmetry=sym)
+    def chunk(rng, size):
+        sb = sample_shifted_batch(measure, horizon, rng, size)
+        values = _shifted_values(functionals, sb)
+        for F, G in pairs:
+            yield from entry(F, G, values, sb.base)
+
+    est = _run_chunked(n_samples, cfg, chunk)
+    return [PairingResult(*est[j:j + 6]) for j in range(0, len(est), 6)]
 
 
 # -- builtin functional families ------------------------------------------------

@@ -484,8 +484,8 @@ def _suite_qi(cfg: RunConfig, params: dict) -> Report:
                 rows.append(_exact_row(f"qi_exact[{F.name},k={k:+g}]",
                                        ANCHORS["qi_exact"], lhs, rhs,
                                        cfg.tol("exact_qi")))
-    for idx, F in enumerate(corpus):
-        comp = qi_mc(F, measure, cfg.T, cfg.samples, cfg.stream(idx))
+    for F, comp in zip(corpus, qi_mc(corpus, measure, cfg.T, cfg.samples,
+                                     cfg.stream(0))):
         rows.append(_band_row(f"qi_mc[{F.name}]", ANCHORS["qi_stat"], comp.diff,
                               sigma, lhs=comp.lhs.mean, rhs=comp.rhs.mean))
     return _finish("qi", cfg, rows)
@@ -519,8 +519,8 @@ def _suite_generator(cfg: RunConfig, params: dict) -> Report:
              (corpus["clip2_end"], corpus["prod00"]),
              (corpus["flat_tail"], corpus["flat_tail"])]
     rows = []
-    for idx, (F, G) in enumerate(pairs):
-        res = pairing_mc(F, G, model, cfg.T, cfg.samples, cfg.stream(idx))
+    for (F, G), res in zip(pairs, pairing_mc(pairs, model, cfg.T, cfg.samples,
+                                             cfg.stream(0))):
         label = f"{F.name}|{G.name}"
         rows.append(_band_row(f"pairing[{label}]", ANCHORS["generator"],
                               res.identity_fg, sigma,
@@ -528,8 +528,9 @@ def _suite_generator(cfg: RunConfig, params: dict) -> Report:
         rows.append(_band_row(f"symmetry[{label}]", ANCHORS["symmetry"],
                               res.symmetry, sigma,
                               lhs=res.pairing_fg.mean, rhs=res.pairing_gf.mean))
+    # the pairs share stream 0; the rank histogram draws from its own
     counts = pi_k_rank_counts(model.to_measure(), cfg.T, params["pi_mark"],
-                              params["rank_samples"], cfg.stream(len(pairs)),
+                              params["rank_samples"], cfg.stream(3),
                               max_count=max(params["rank_counts"]))
     alpha = cfg.tol("chi2_significance")
     for j in params["rank_counts"]:

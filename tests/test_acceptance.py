@@ -49,8 +49,7 @@ def test_criterion_02_quasi_invariance_statistical():
     assert len(corpus) == 3
     started = time.perf_counter()
     worst_z = 0.0
-    for idx, F in enumerate(corpus):
-        comp = pf.qi_mc(F, measure, 1.0, 10**6, StreamConfig(seed=9001, stream_index=idx))
+    for comp in pf.qi_mc(corpus, measure, 1.0, 10**6, StreamConfig(seed=9001)):
         assert comp.diff.n == 10**6
         worst_z = max(worst_z, abs(comp.diff.mean) / comp.diff.stderr)
     elapsed = time.perf_counter() - started
@@ -120,9 +119,7 @@ def test_criterion_07_generator_identity_and_symmetry():
              (corpus["clip2_end"], corpus["prod00"]),
              (corpus["flat_tail"], corpus["flat_tail"])]
     worst_z = 0.0
-    for idx, (F, G) in enumerate(pairs):
-        res = pf.pairing_mc(F, G, model, 1.0, 10**6,
-                            StreamConfig(seed=9002, stream_index=idx))
+    for res in pf.pairing_mc(pairs, model, 1.0, 10**6, StreamConfig(seed=9002)):
         for est in (res.identity_fg, res.identity_gf, res.symmetry):
             if est.stderr > 0:
                 worst_z = max(worst_z, abs(est.mean) / est.stderr)

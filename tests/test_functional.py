@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pathform.functional import (
     _generator_values_batch,
     _run_chunked,
 )
+from pathform.harness import lattice_corpus
 from pathform.sampler import sample_path_batch
 
 
@@ -90,11 +92,15 @@ def test_horizon_mismatch():
         pf.evaluate(pf.coordinate(2.0), JumpPath.empty(1.0))
 
 
+def _qi_mc(F, measure, T, n, cfg):
+    return pf.qi_mc([F], measure, T, n, cfg)[0]
+
+
 def _pairing_mc(F, measure, T, n, cfg):
-    return pf.pairing_mc(F, F, pf.LatticeModel.from_measure(measure), T, n, cfg)
+    return pf.pairing_mc([(F, F)], pf.LatticeModel.from_measure(measure), T, n, cfg)[0]
 
 
-@pytest.mark.parametrize("estimator", [pf.qi_mc, pf.energy_mc, pf.moments_mc, _pairing_mc],
+@pytest.mark.parametrize("estimator", [_qi_mc, pf.energy_mc, pf.moments_mc, _pairing_mc],
                          ids=["qi_mc", "energy_mc", "moments_mc", "pairing_mc"])
 def test_estimators_refuse_times_past_horizon(pm1, estimator):
     with pytest.raises(HorizonMismatch):
@@ -280,7 +286,7 @@ def test_count_generator_batch_matches_per_path(pm1, pm1_model):
 
 def test_pairing_zero_functional(pm1_model):
     zero = CylindricalFunctional(times=(1.0,), f=lambda c: np.zeros(len(c)), bound=0.0)
-    res = pf.pairing_mc(ind0(), zero, pm1_model, 1.0, 5000, StreamConfig(seed=15))
+    [res] = pf.pairing_mc([(ind0(), zero)], pm1_model, 1.0, 5000, StreamConfig(seed=15))
     assert res.form.mean == 0.0
     assert res.pairing_fg.mean == 0.0
     assert res.pairing_gf.mean == 0.0
@@ -288,14 +294,14 @@ def test_pairing_zero_functional(pm1_model):
 
 def test_pairing_diagonal_symmetric(pm1_model):
     F = ind0()
-    res = pf.pairing_mc(F, F, pm1_model, 1.0, 5000, StreamConfig(seed=16))
+    [res] = pf.pairing_mc([(F, F)], pm1_model, 1.0, 5000, StreamConfig(seed=16))
     assert res.pairing_fg == res.pairing_gf
     assert res.symmetry.mean == 0.0 and res.symmetry.stderr == 0.0
 
 
 def test_pairing_identity_and_symmetry(pm1_model):
     F, G = ind0(), pf.indicator_at(0.5, 1.0)
-    res = pf.pairing_mc(F, G, pm1_model, 1.0, 200_000, StreamConfig(seed=17))
+    [res] = pf.pairing_mc([(F, G)], pm1_model, 1.0, 200_000, StreamConfig(seed=17))
     assert abs(res.identity_fg.mean) <= 4.0 * res.identity_fg.stderr
     assert abs(res.identity_gf.mean) <= 4.0 * res.identity_gf.stderr
     assert abs(res.symmetry.mean) <= 4.0 * res.symmetry.stderr
@@ -304,8 +310,94 @@ def test_pairing_identity_and_symmetry(pm1_model):
 # -- statistical shifted-law comparison ------------------------------------------------------
 
 def test_qi_mc_lattice(pm1):
-    comp = pf.qi_mc(ind0(), pm1, 1.0, 200_000, StreamConfig(seed=18))
+    [comp] = pf.qi_mc([ind0()], pm1, 1.0, 200_000, StreamConfig(seed=18))
     assert abs(comp.diff.mean) <= 4.0 * comp.diff.stderr
+
+
+# -- corpus calls: one shifted sample per chunk serves every entry ---------------------------
+
+def _mixed_corpus():
+    """The lattice corpus, a count map, and functionals on times no other
+    entry reads, so the shared coordinates are built at a union of times."""
+    return lattice_corpus(1.0) + [
+        pf.capped_count(2),
+        pf.product_indicator((0.3, 0.7), (1.0, 0.0), name="prod10_off"),
+        pf.indicator_at(0.9, -1.0, name="ind-1_off")]
+
+
+def _mixed_pairs():
+    c = {F.name: F for F in _mixed_corpus()}
+    return [(c["ind0_end"], c["ind1_half"]), (c["clip2_end"], c["prod00"]),
+            (c["flat_tail"], c["flat_tail"]), (c["count^2"], c["prod10_off"]),
+            (c["ind-1_off"], c["monotone3"])]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_qi_corpus_entries_equal_one_entry_calls(pm1, monkeypatch, threads):
+    monkeypatch.setenv("PATHFORM_THREADS", threads)
+    corpus, cfg = _mixed_corpus(), StreamConfig(seed=24, stream_index=2)
+    together = pf.qi_mc(corpus, pm1, 1.0, 70_000, cfg)
+    assert len(together) == len(corpus)
+    for F, comp in zip(corpus, together):
+        assert comp == pf.qi_mc([F], pm1, 1.0, 70_000, cfg)[0], F.name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_pairing_corpus_entries_equal_one_entry_calls(pm1_model, monkeypatch, threads):
+    monkeypatch.setenv("PATHFORM_THREADS", threads)
+    pairs, cfg = _mixed_pairs(), StreamConfig(seed=25, stream_index=1)
+    together = pf.pairing_mc(pairs, pm1_model, 2.0, 70_000, cfg)
+    assert len(together) == len(pairs)
+    for pair, res in zip(pairs, together):
+        assert res == pf.pairing_mc([pair], pm1_model, 2.0, 70_000, cfg)[0]
+
+
+def test_corpus_calls_refuse_an_entry_past_horizon(pm1, pm1_model):
+    late = pf.indicator_at(1.5, 0.0)
+    corpus = _mixed_corpus()
+    with pytest.raises(HorizonMismatch):
+        pf.qi_mc(corpus[:3] + [late] + corpus[3:], pm1, 1.0, 2000, StreamConfig(seed=1))
+    with pytest.raises(HorizonMismatch):
+        pf.pairing_mc(_mixed_pairs() + [(corpus[0], late)], pm1_model, 1.0, 2000,
+                      StreamConfig(seed=1))
+
+
+def test_corpus_coordinates_are_read_only(pm1):
+    # the entries share one coordinate array: a functional that writes into
+    # its input is refused rather than left to change what the others read
+    def clobber(c):
+        c[:] = 0.0
+        return c[:, 0]
+
+    bad = CylindricalFunctional(times=(1.0,), f=clobber, name="clobber")
+    with pytest.raises(ValueError, match="read-only"):
+        pf.qi_mc([ind0(), bad], pm1, 1.0, 2000, StreamConfig(seed=1))
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_corpus_calls_hold_one_entry_at_a_time(pm1, pm1_model, monkeypatch):
+    # each entry's arrays are reduced and freed before the next entry's are
+    # built, so one full chunk of a corpus costs little more memory than its
+    # largest one-entry call: 1.0x for qi and 1.1x for the pairs here, where
+    # building every entry's arrays before reducing them costs 1.7-2x.  The qi
+    # corpus is the suite's, whose times lie on a grid of three; shared
+    # coordinates at a wider union of times cost their own share on top
+    monkeypatch.setenv("PATHFORM_THREADS", "1")
+    n, cfg = DEFAULT_CHUNK, StreamConfig(seed=26)
+    corpus, pairs = lattice_corpus(1.0), _mixed_pairs()
+    largest = max(_traced_peak(lambda: pf.qi_mc([F], pm1, 1.0, n, cfg)) for F in corpus)
+    assert _traced_peak(lambda: pf.qi_mc(corpus, pm1, 1.0, n, cfg)) <= 1.5 * largest
+    largest = max(_traced_peak(lambda: pf.pairing_mc([p], pm1_model, 1.0, n, cfg))
+                  for p in pairs)
+    assert _traced_peak(lambda: pf.pairing_mc(pairs, pm1_model, 1.0, n, cfg)) <= 1.5 * largest
 
 
 # -- reproducibility of the chunked engine ---------------------------------------------------

@@ -41,8 +41,8 @@ def test_continuous_batch_stream_pinned():
 
 
 @pytest.mark.parametrize("suite, digest", [
-    ("qi", "560490929e8ed66b8a47750b8649b7a3e7b9ca4878cba27d6b78758e06a51e12"),
-    ("generator", "2ee624ca502205278069326c7eb4e83c40019c69a2e07a49e3d8ceda04ce5944"),
+    ("qi", "6dbc44422199ce08070c2a1707c35dcd0232229f9165cb0b3ade6231321daa31"),
+    ("generator", "dac32bc7fa3b232c9e64fbe5fa81701fec86bbae534b05b3a325bc52b3377dad"),
     ("poincare", "8fdf0e1d13c440ec94ee8c24d1523ff189140cbc7725f35bb8cd4e34e2240efc"),
     ("semigroup", "24950c3daf13d7fa277e6cb89f5376c2391c224966018268a88c6dd4a03df7bb"),
     ("smalltime", "89ae6372a8e644d3fe6f3ae66fcbb230d78e8bb3c377f45c6c2d1c92ba0bb62b"),
@@ -61,7 +61,7 @@ def test_report_digest_pinned(suite, digest):
 # qi falls back to its continuous corpus here and coupling reads the
 # Lipschitz corpus, so these pins cover the functionals the lattice ones miss
 @pytest.mark.parametrize("suite, digest", [
-    ("qi", "75086e0896570a2c338a3da9a346333527da0a5a68f1eff9a89cc7a2e40c120d"),
+    ("qi", "fe8dc0eba4dcdfca291270fc0302cce6ca860436d7d72e0543e3bac84cccbbe4"),
     ("coupling", "fb98e5d8ae067f95125da6c8158874e2e172e7f66c85827b79cca97a7bbdba24"),
 ])
 def test_continuous_report_digest_pinned(suite, digest):
@@ -90,7 +90,7 @@ EXACT_LATTICE = {
 
 @pytest.mark.parametrize("suite, digest", [
     ("poincare", "ccae2d90313b8c9289734fa99e4a198ef37f564ddd4f1134bdec1afbde3515a9"),
-    ("qi", "8fae00f35e9b5266bb6670b5c696ea636b29b172e08b8f550a78a97ab8ee57d7"),
+    ("qi", "bf79e187fca3dffa7f9d2ffdbe557931a758d812fa4ede74346fb7d367daf744"),
 ])
 def test_exact_report_digest_pinned(suite, digest):
     report = run_suite(suite, pf.config_from_dict(EXACT_LATTICE))

@@ -89,7 +89,8 @@ def test_mc_engines_match_oracle_d2(model2, cross_f):
 
 
 def test_pairing_identity_d2(model2, cross_f):
-    res = pf.pairing_mc(cross_f, cross_f, model2, 1.0, 150_000, StreamConfig(seed=63))
+    [res] = pf.pairing_mc([(cross_f, cross_f)], model2, 1.0, 150_000,
+                          StreamConfig(seed=63))
     assert abs(res.identity_fg.mean) <= 4.0 * res.identity_fg.stderr
 
 

@@ -84,20 +84,24 @@ def test_exact_checks_evaluate_each_functional_once_per_grid():
 
 def test_pairing_reads_base_coordinates_once_per_functional():
     # one chunk: the generator values reuse the coordinates and values the
-    # shifted pair computed, so coords_at runs once per functional, not twice
+    # shifted pairs computed, and every functional reads its columns of one
+    # coords_at at the union of their times; a pair (F, F) evaluates its
+    # generator once
     tracer = _load_tracer()
     model = pf.LatticeModel({-1: 0.5, 1: 0.5})
     F, G = pf.product_indicator((0.5, 1.0), (0, 0)), pf.coordinate(1.0)
     t = tracer.Tracer()
     t.install()
     try:
-        t.request(lambda: pf.pairing_mc(F, G, model, 1.0, 1000, pf.StreamConfig(seed=5)))
+        t.request(lambda: pf.pairing_mc([(F, G), (G, G)], model, 1.0, 1000,
+                                        pf.StreamConfig(seed=5)))
     finally:
         t.uninstall()
     names = [span[2] for span in t.requests[0]]
     assert names.count("functional.chunk") == 1
-    assert names.count("functional.generator_values") == 2
-    assert names.count("sampler.coords_at") == 2
+    assert names.count("sampler.sample_path_batch") == 1
+    assert names.count("functional.generator_values") == 3
+    assert names.count("sampler.coords_at") == 1
 
 
 def test_tracer_sees_the_convolution_engine():
